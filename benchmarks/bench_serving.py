@@ -1,26 +1,21 @@
 """Load-generator benchmark of the serving front-end (``repro.serving.server``).
 
-Two measurements over one trained DHGNN bundle:
+Every phase drives a real :class:`ServingServer` over sockets from one
+trained DHGNN bundle.  The load generator shares the server's process (and
+GIL), so client-side socket and parse CPU is part of every number.
 
-**Micro-batching sweep (asserted).**  A concurrent closed-loop load
-generator submits single-node predict requests straight into the
-:class:`~repro.serving.MicroBatcher` over a real :class:`SessionPool` and
-sweeps the batch window.  At window ``0`` every request pays its own
-event-loop → worker-thread dispatch round-trip; at a positive window,
-requests coalesce into one :meth:`InferenceSession.predict_batch` call that
-slices one cached forward.  This isolates the dispatch path the batcher
-exists to amortise: QPS must be **>= 2x** at the best nonzero window, with a
-mean coalesced batch size >= 2.
+**Client-concurrency sweep (reported).**  Closed-loop single-node label
+reads from 1, 8 and 32 keep-alive clients, the same total request count at
+each level: QPS and p50/p99 latency.  Reads are answered inline on the
+event loop from the current published generation, so the sweep shows how
+one event loop shares out its core between clients — there is no batching
+window to fill.
 
-**HTTP end-to-end (reported + checked).**  The same workload through real
-sockets against :class:`ServingServer`: per-request p50/p99 latency and QPS
-per window, a **bit-identity** check (responses for labels and logits must
-equal a direct :class:`InferenceSession` on the same bundle, bit for bit),
-and a mixed phase driving ``/insert`` + ``/predict`` concurrently (reads
-must keep succeeding while the single writer republishes).  The HTTP QPS
-contrast is reported but not asserted: the load generator shares the
-server's process and GIL, so client-side socket/parse CPU — identical in
-both modes — dilutes the dispatch saving end-to-end.
+**Bit-identity and reads during writes (checked).**  Responses for labels
+and logits must equal a direct :class:`InferenceSession` on the same
+bundle, bit for bit; a mixed phase drives ``/insert`` + ``/predict``
+concurrently (reads must keep succeeding while the single writer
+republishes).
 
 **WAL write-throughput (asserted).**  The same single-writer mutation loop
 with the write-ahead log off, on (per-record ``fsync``, the serving
@@ -30,16 +25,18 @@ ceiling states the durability budget: fsync'd journalling must keep at
 least ``1/3`` of the unjournalled write throughput (in practice the
 mutation's refresh + forward + republish dwarfs the fsync).
 
-**Instrumentation overhead (asserted).**  The batcher sweep's hottest
-configuration, run back-to-back under the live process-wide metrics
-registry and under a disabled one (``MetricsRegistry(enabled=False)``,
-every instrument a no-op).  Trials interleave the two modes to cancel
-machine drift, the cleanest (on, off) pair sets the measured ratio — CI
-noise can only slow a run down, so the best pair bounds the true cost —
-and the asserted bar is the observability contract: full
-request/batcher/pool instrumentation may cost at most **5%** QPS.  The last HTTP run's ``GET /metrics`` exposition is
-also saved to ``benchmarks/results/bench_serving_metrics_scrape.txt`` so
-CI archives a real scrape next to the tables.
+**Instrumentation overhead (asserted).**  Two live servers, one built under
+the process-wide metrics registry and one under a disabled one
+(``MetricsRegistry(enabled=False)``, every instrument a no-op), take the
+32-client HTTP read load in alternating short slices, so machine drift hits
+both sides alike.  The reported statistic is the **median** per-pair QPS
+ratio with its interquartile spread, and the asserted bar is the
+observability contract: full request/pool instrumentation may cost at most
+**10%** of the read QPS.  (A read answered inline is ~50 us of event-loop
+time here, client included; its two instrument updates cost ~2.5 us.)
+The last sweep run's ``GET /metrics`` exposition is also saved to
+``benchmarks/results/bench_serving_metrics_scrape.txt`` so CI archives a
+real scrape next to the tables.
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_serving.py``);
 ``REPRO_BENCH_QUICK=1`` selects the CI smoke configuration.
@@ -53,7 +50,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -66,12 +62,7 @@ from repro import DHGNN, TrainConfig, Trainer, reset_default_engine  # noqa: E40
 from repro.data.citation import make_citation_dataset  # noqa: E402
 from repro.obs import MetricsRegistry, use_registry  # noqa: E402
 from repro.serving import FrozenModel, InferenceSession  # noqa: E402
-from repro.serving.server import (  # noqa: E402
-    MicroBatcher,
-    ServerConfig,
-    ServingServer,
-    SessionPool,
-)
+from repro.serving.server import ServerConfig, ServingServer, SessionPool  # noqa: E402
 from repro.training.results import ResultTable  # noqa: E402
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
@@ -80,32 +71,27 @@ N_NODES = 240 if QUICK else 600
 HIDDEN = 16
 N_LAYERS = 3
 EPOCHS = 4 if QUICK else 10
-#: Batch windows (ms) for the asserted batcher sweep; 0 = no coalescing.
-BATCHER_WINDOWS_MS = [0.0, 2.0] if QUICK else [0.0, 0.5, 1.0, 2.0, 5.0]
-BATCHER_CLIENTS = 64
-BATCHER_REQUESTS = 40 if QUICK else 120
-#: Batch windows (ms) for the reported HTTP end-to-end sweep.
-HTTP_WINDOWS_MS = [0.0, 2.0] if QUICK else [0.0, 2.0, 6.0]
-HTTP_CLIENTS = 32
-HTTP_REQUESTS = 40 if QUICK else 120
-REPLICAS = 1 if QUICK else 2
-QPS_SPEEDUP_BAR = 2.0
-BATCH_SIZE_BAR = 2.0
+#: Concurrent keep-alive clients of the read sweep.
+CLIENT_LEVELS = [1, 8, 32]
+#: Reads per sweep level, split evenly across its clients (40 per client at
+#: 32 clients in quick mode).
+SWEEP_REQUESTS = 1280 if QUICK else 3840
 WAL_WRITE_OPS = 8 if QUICK else 24
 #: Stated durability budget: fsync'd journalling may cost at most a 3x
 #: write-throughput slowdown vs no WAL (generous for CI disks; locally the
 #: measured overhead is far smaller because each write's refresh + forward +
 #: republish dominates the fsync).
 WAL_SLOWDOWN_CEILING = 3.0
-#: Interleaved (registry on, registry off) trial pairs for the overhead phase.
-OVERHEAD_TRIALS = 5
-#: The observability contract: full instrumentation costs at most 5% QPS.
-OVERHEAD_QPS_TOLERANCE = 0.05
-#: Batch window for the overhead phase — the sweep's realistic serving point.
-OVERHEAD_WINDOW_MS = 2.0
-#: Longer per-trial runs than the sweep: the overhead being measured is a
-#: few percent, so each sample must be long enough to drown scheduler jitter.
-OVERHEAD_REQUESTS = 120 if QUICK else 240
+#: Interleaved (registry on, registry off) slice pairs for the overhead phase.
+OVERHEAD_TRIALS = 20 if QUICK else 40
+#: The observability contract: full instrumentation costs at most 10% of the
+#: in-process HTTP read QPS.  A read answered inline costs ~50 us of event
+#: loop time (client included), and its two instrument updates ~2.5 us.
+OVERHEAD_QPS_TOLERANCE = 0.10
+OVERHEAD_CLIENTS = 32
+#: Reads per slice: short slices, many pairs, so adjacent slices see the
+#: same machine state.
+OVERHEAD_REQUESTS = 2048
 
 
 def _dataset():
@@ -143,60 +129,7 @@ def _export_bundle(tmp_dir: Path) -> Path:
 
 
 # --------------------------------------------------------------------------- #
-# Part 1: micro-batching sweep against the MicroBatcher (asserted)
-# --------------------------------------------------------------------------- #
-async def _run_batcher_load(
-    bundle: Path, window_ms: float, requests: int = BATCHER_REQUESTS
-) -> dict:
-    """Closed-loop load straight into the batcher at one window setting."""
-    pool = SessionPool(FrozenModel.load(bundle), replicas=REPLICAS)
-    executor = ThreadPoolExecutor(max_workers=REPLICAS + 1)
-    batcher = MicroBatcher(
-        pool,
-        executor,
-        window_s=window_ms / 1000.0,
-        # Cap at the client count: a closed-loop generator has at most
-        # BATCHER_CLIENTS requests in flight, so a full batch dispatches
-        # immediately instead of idling out the rest of the window.
-        max_batch_size=BATCHER_CLIENTS,
-        max_queue_depth=8192,
-    )
-    batcher.start()
-    try:
-        rng = np.random.default_rng(int(window_ms * 10) + 1)
-        latencies: list[float] = []
-
-        async def client(plan: np.ndarray) -> None:
-            for node in plan:
-                start = time.perf_counter()
-                await batcher.submit({"nodes": int(node), "output": "labels"})
-                latencies.append(time.perf_counter() - start)
-
-        await client(rng.integers(0, N_NODES, 8))  # warm-up
-        latencies.clear()
-        plans = [
-            rng.integers(0, N_NODES, requests)
-            for _ in range(BATCHER_CLIENTS)
-        ]
-        start = time.perf_counter()
-        await asyncio.gather(*[client(plan) for plan in plans])
-        elapsed = time.perf_counter() - start
-        stats = batcher.stats()
-        return {
-            "window_ms": window_ms,
-            "qps": len(latencies) / elapsed,
-            "p50_ms": float(np.percentile(latencies, 50) * 1e3),
-            "p99_ms": float(np.percentile(latencies, 99) * 1e3),
-            "mean_batch": stats["mean_batch_size"],
-            "batches": stats["batches"],
-        }
-    finally:
-        await batcher.stop()
-        executor.shutdown(wait=True)
-
-
-# --------------------------------------------------------------------------- #
-# Part 2: HTTP end-to-end — minimal keep-alive client
+# HTTP load — minimal keep-alive client
 # --------------------------------------------------------------------------- #
 async def _request(reader, writer, method: str, path: str, payload=None):
     """One JSON request/response exchange (slow path: used off the hot loop)."""
@@ -249,57 +182,50 @@ async def _client_loop(port: int, node_ids: np.ndarray, latencies: list) -> None
         writer.close()
 
 
-async def _run_http_load(bundle: Path, window_ms: float) -> dict:
-    """One closed-loop HTTP measurement of the server at one batch window."""
-    server = ServingServer(
-        FrozenModel.load(bundle),
-        ServerConfig(
-            port=0,
-            replicas=REPLICAS,
-            batch_window_ms=window_ms,
-            max_batch_size=HTTP_CLIENTS,
-            max_queue_depth=4096,
-        ),
-    )
+async def _scrape_metrics(port: int) -> str:
+    """The server's ``GET /metrics`` exposition."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(b"GET /metrics HTTP/1.1\r\nHost: bench\r\nContent-Length: 0\r\n\r\n")
+        await writer.drain()
+        head = await reader.readuntil(b"\r\n\r\n")
+        marker = head.index(b"Content-Length: ") + 16
+        length = int(head[marker : head.index(b"\r", marker)])
+        return (await reader.readexactly(length)).decode("utf-8")
+    finally:
+        writer.close()
+
+
+def _server(bundle: Path) -> ServingServer:
+    return ServingServer(FrozenModel.load(bundle), ServerConfig(port=0, max_queue_depth=4096))
+
+
+async def _read_load(
+    port: int, clients: int, requests: int, rng: np.random.Generator
+) -> dict:
+    """Closed-loop single-node reads, ``requests`` split across ``clients``."""
+    latencies: list[float] = []
+    plans = [rng.integers(0, N_NODES, requests // clients) for _ in range(clients)]
+    start = time.perf_counter()
+    await asyncio.gather(*[_client_loop(port, plan, latencies) for plan in plans])
+    elapsed = time.perf_counter() - start
+    return {
+        "clients": clients,
+        "qps": len(latencies) / elapsed,
+        "p50_ms": float(np.percentile(latencies, 50) * 1e3),
+        "p99_ms": float(np.percentile(latencies, 99) * 1e3),
+    }
+
+
+async def _run_http_load(bundle: Path, clients: int) -> tuple[dict, str]:
+    """One sweep level on a fresh server; returns the row and its ``/metrics``."""
+    server = _server(bundle)
     await server.start()
     try:
-        port = server.port
-        rng = np.random.default_rng(int(window_ms * 10) + 1)
-        warm: list = []
-        await _client_loop(port, rng.integers(0, N_NODES, 8), warm)
-
-        latencies: list[float] = []
-        plans = [
-            rng.integers(0, N_NODES, HTTP_REQUESTS) for _ in range(HTTP_CLIENTS)
-        ]
-        start = time.perf_counter()
-        await asyncio.gather(
-            *[_client_loop(port, plan, latencies) for plan in plans]
-        )
-        elapsed = time.perf_counter() - start
-        stats = server.stats()["batcher"]
-        # One real scrape while the counters are hot: CI archives the last
-        # window's exposition next to the result tables.
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        try:
-            writer.write(
-                b"GET /metrics HTTP/1.1\r\nHost: bench\r\nContent-Length: 0\r\n\r\n"
-            )
-            await writer.drain()
-            head = await reader.readuntil(b"\r\n\r\n")
-            marker = head.index(b"Content-Length: ") + 16
-            length = int(head[marker : head.index(b"\r", marker)])
-            scrape = (await reader.readexactly(length)).decode("utf-8")
-        finally:
-            writer.close()
-        return {
-            "window_ms": window_ms,
-            "qps": len(latencies) / elapsed,
-            "p50_ms": float(np.percentile(latencies, 50) * 1e3),
-            "p99_ms": float(np.percentile(latencies, 99) * 1e3),
-            "mean_batch": stats["mean_batch_size"],
-            "batches": stats["batches"],
-        }, scrape
+        rng = np.random.default_rng(clients)
+        await _client_loop(server.port, rng.integers(0, N_NODES, 8), [])  # warm-up
+        row = await _read_load(server.port, clients, SWEEP_REQUESTS, rng)
+        return row, await _scrape_metrics(server.port)
     finally:
         await server.shutdown()
 
@@ -308,7 +234,7 @@ async def _check_bit_identity(bundle: Path) -> int:
     """Server responses must match a direct session bit-for-bit."""
     local = InferenceSession(FrozenModel.load(bundle))
     server = ServingServer(
-        FrozenModel.load(bundle), ServerConfig(port=0, replicas=2, batch_window_ms=2.0)
+        FrozenModel.load(bundle), ServerConfig(port=0)
     )
     await server.start()
     checked = 0
@@ -338,7 +264,7 @@ async def _check_write_path(bundle: Path) -> dict:
     """Reads keep succeeding while the single writer inserts and republishes."""
     dataset = _dataset()
     server = ServingServer(
-        FrozenModel.load(bundle), ServerConfig(port=0, replicas=2, batch_window_ms=2.0)
+        FrozenModel.load(bundle), ServerConfig(port=0)
     )
     await server.start()
     try:
@@ -375,37 +301,42 @@ async def _check_write_path(bundle: Path) -> dict:
 
 
 # --------------------------------------------------------------------------- #
-# Part 3: instrumentation overhead — live registry vs disabled (asserted)
+# Instrumentation overhead — live registry vs disabled (asserted)
 # --------------------------------------------------------------------------- #
-def _measure_overhead(bundle: Path) -> list[dict]:
-    """Best-of-N interleaved batcher runs with metrics on vs off.
+async def _measure_overhead(bundle: Path) -> list[dict]:
+    """Interleaved HTTP read slices against two live servers, metrics on vs off.
 
     Every instrument the serving stack creates is registered in whichever
-    registry is process-default at construction time, so swapping in a
-    disabled registry around the run turns the whole instrumentation layer
-    into no-ops — the exact hot path a build without observability would
-    execute.  Each (on, off) pair runs back-to-back so scheduler drift hits
-    both sides alike.  Container noise is one-sided — a contended run can
-    only come out *slower* than the code allows — so the asserted statistic
-    is the **best** (max) per-pair QPS ratio: the cleanest pair observed
-    bounds the true overhead from above, and a genuine regression drags
-    every pair down, the best one included.
+    registry is process-default at construction time, so the server built
+    under a disabled registry runs the exact hot path a build without
+    observability would execute.  Both servers stay up and the load
+    alternates between them in short slices, the order flipping every
+    pair, so machine drift hits both sides alike.
     """
+    servers = {}
+    for label, enabled in (("on", True), ("off", False)):
+        with use_registry(MetricsRegistry(enabled=enabled)):
+            servers[label] = _server(bundle)
+        await servers[label].start()
+    rng = np.random.default_rng(0)
     rows = []
-    for trial in range(OVERHEAD_TRIALS):
-        for label, enabled in (("on", True), ("off", False)):
-            with use_registry(MetricsRegistry(enabled=enabled)):
-                row = asyncio.run(
-                    _run_batcher_load(
-                        bundle, OVERHEAD_WINDOW_MS, requests=OVERHEAD_REQUESTS
-                    )
+    try:
+        for server in servers.values():  # warm-up
+            await _read_load(server.port, OVERHEAD_CLIENTS, OVERHEAD_REQUESTS, rng)
+        for trial in range(OVERHEAD_TRIALS):
+            for label in ("on", "off") if trial % 2 == 0 else ("off", "on"):
+                row = await _read_load(
+                    servers[label].port, OVERHEAD_CLIENTS, OVERHEAD_REQUESTS, rng
                 )
-            rows.append({"metrics": label, "trial": trial, **row})
+                rows.append({"metrics": label, "trial": trial, **row})
+    finally:
+        for server in servers.values():
+            await server.shutdown()
     return rows
 
 
 # --------------------------------------------------------------------------- #
-# Part 4: WAL on/off write throughput (asserted)
+# WAL on/off write throughput (asserted)
 # --------------------------------------------------------------------------- #
 def _measure_write_throughput(
     bundle: Path, tmp_dir: Path, *, label: str, wal: bool, fsync: bool = True
@@ -413,7 +344,7 @@ def _measure_write_throughput(
     """Single-writer update loop; journalling rides the critical section."""
     wal_path = tmp_dir / f"bench_{label}.wal" if wal else None
     pool = SessionPool(
-        FrozenModel.load(bundle), replicas=1, wal_path=wal_path, wal_fsync=fsync
+        FrozenModel.load(bundle), wal_path=wal_path, wal_fsync=fsync
     )
     rng = np.random.default_rng(17)
     n_cols = pool.writer.features.shape[1]
@@ -433,62 +364,52 @@ def _measure_write_throughput(
     }
 
 
+def _median_and_iqr(values: list[float]) -> tuple[float, float]:
+    q25, q50, q75 = np.percentile(values, [25, 50, 75])
+    return float(q50), float(q75 - q25)
+
+
 def main() -> None:
     mode = "quick" if QUICK else "full"
-    print(f"serving benchmark ({mode} mode): n={N_NODES}, {REPLICAS} replica(s)")
+    print(f"serving benchmark ({mode} mode): n={N_NODES}")
 
     with tempfile.TemporaryDirectory() as tmp:
         bundle = _export_bundle(Path(tmp))
 
-        # -- Part 1: asserted micro-batching sweep ---------------------- #
-        batcher_table = ResultTable(
-            ["batch window (ms)", "QPS", "p50 (ms)", "p99 (ms)",
-             "mean batch", "batches"],
-            title=f"Micro-batcher: QPS vs batch window "
-                  f"({BATCHER_CLIENTS} concurrent clients, {REPLICAS} replica(s))",
+        # -- Client-concurrency sweep ----------------------------------- #
+        sweep_table = ResultTable(
+            ["clients", "QPS", "p50 (ms)", "p99 (ms)"],
+            title=f"HTTP reads vs concurrent keep-alive clients "
+                  f"({SWEEP_REQUESTS} single-node reads per level)",
         )
-        batcher_rows = []
-        for window_ms in BATCHER_WINDOWS_MS:
-            row = asyncio.run(_run_batcher_load(bundle, window_ms))
-            batcher_rows.append(row)
-            batcher_table.add_row(
-                [window_ms, round(row["qps"], 1), round(row["p50_ms"], 3),
-                 round(row["p99_ms"], 3), row["mean_batch"], row["batches"]]
-            )
-        emit(batcher_table, "bench_serving_batcher",
-             extra={"mode": mode, "rows": batcher_rows})
-
-        # -- Part 2: HTTP end-to-end ------------------------------------ #
-        http_table = ResultTable(
-            ["batch window (ms)", "QPS", "p50 (ms)", "p99 (ms)",
-             "mean batch", "batches"],
-            title=f"HTTP end-to-end: latency vs batch window "
-                  f"({HTTP_CLIENTS} keep-alive clients, {REPLICAS} replica(s))",
-        )
-        http_rows = []
+        sweep_rows = []
         scrape = ""
-        for window_ms in HTTP_WINDOWS_MS:
-            row, scrape = asyncio.run(_run_http_load(bundle, window_ms))
-            http_rows.append(row)
-            http_table.add_row(
-                [window_ms, round(row["qps"], 1), round(row["p50_ms"], 3),
-                 round(row["p99_ms"], 3), row["mean_batch"], row["batches"]]
+        for clients in CLIENT_LEVELS:
+            row, scrape = asyncio.run(_run_http_load(bundle, clients))
+            sweep_rows.append(row)
+            sweep_table.add_row(
+                [clients, round(row["qps"], 1), round(row["p50_ms"], 3),
+                 round(row["p99_ms"], 3)]
             )
-        emit(http_table, "bench_serving_http",
-             extra={"mode": mode, "rows": http_rows})
+        emit(sweep_table, "bench_serving_http", extra={"mode": mode, "rows": sweep_rows})
         scrape_path = RESULTS_DIR / "bench_serving_metrics_scrape.txt"
         RESULTS_DIR.mkdir(parents=True, exist_ok=True)
         scrape_path.write_text(scrape)
         print(f"saved a /metrics scrape ({len(scrape.splitlines())} lines) "
               f"to {scrape_path}")
 
-        # -- Part 3: instrumentation overhead --------------------------- #
-        overhead_rows = _measure_overhead(bundle)
+        # -- Instrumentation overhead ----------------------------------- #
+        overhead_rows = asyncio.run(_measure_overhead(bundle))
+        qps_on = [r["qps"] for r in overhead_rows if r["metrics"] == "on"]
+        qps_off = [r["qps"] for r in overhead_rows if r["metrics"] == "off"]
+        pair_ratios = [on / off for on, off in zip(qps_on, qps_off)]
+        median_ratio, ratio_iqr = _median_and_iqr(pair_ratios)
+        overhead = 1.0 - median_ratio
         overhead_table = ResultTable(
             ["metrics", "trial", "QPS", "p50 (ms)", "p99 (ms)"],
             title=f"Instrumentation overhead: registry on vs off "
-                  f"({BATCHER_CLIENTS} clients, {OVERHEAD_WINDOW_MS}ms window, "
-                  f"best of {OVERHEAD_TRIALS})",
+                  f"({OVERHEAD_CLIENTS} clients, {OVERHEAD_TRIALS} interleaved pairs; "
+                  f"median on/off QPS ratio {median_ratio:.3f}, IQR {ratio_iqr:.3f})",
         )
         for row in overhead_rows:
             overhead_table.add_row(
@@ -497,9 +418,10 @@ def main() -> None:
             )
         emit(overhead_table, "bench_serving_overhead",
              extra={"mode": mode, "rows": overhead_rows,
-                    "qps_tolerance": OVERHEAD_QPS_TOLERANCE})
+                    "pair_ratios": pair_ratios, "median_ratio": median_ratio,
+                    "ratio_iqr": ratio_iqr, "qps_tolerance": OVERHEAD_QPS_TOLERANCE})
 
-        # -- Part 4: WAL on/off write throughput ------------------------ #
+        # -- WAL on/off write throughput -------------------------------- #
         wal_rows = [
             _measure_write_throughput(bundle, Path(tmp), label="off", wal=False),
             _measure_write_throughput(bundle, Path(tmp), label="on", wal=True),
@@ -528,18 +450,6 @@ def main() -> None:
               f"{mixed['generation'] - 1} republishes while {mixed['reads']} "
               f"concurrent reads succeeded")
 
-    baseline = batcher_rows[0]
-    best = max(batcher_rows[1:], key=lambda row: row["qps"])
-    speedup = best["qps"] / baseline["qps"]
-    assert speedup >= QPS_SPEEDUP_BAR, (
-        f"micro-batching only reached {speedup:.2f}x QPS over window=0 "
-        f"(bar: {QPS_SPEEDUP_BAR}x; window {best['window_ms']}ms: "
-        f"{best['qps']:.0f} vs {baseline['qps']:.0f} QPS)"
-    )
-    assert best["mean_batch"] >= BATCH_SIZE_BAR, (
-        f"mean batch size {best['mean_batch']} at {best['window_ms']}ms "
-        f"(bar: {BATCH_SIZE_BAR}) — coalescing is not happening"
-    )
     wal_slowdown = wal_rows[0]["writes_per_s"] / wal_rows[1]["writes_per_s"]
     assert wal_slowdown <= WAL_SLOWDOWN_CEILING, (
         f"fsync'd journalling costs {wal_slowdown:.2f}x write throughput "
@@ -547,27 +457,21 @@ def main() -> None:
         f"{wal_rows[1]['writes_per_s']:.1f} vs {wal_rows[0]['writes_per_s']:.1f} "
         f"writes/s)"
     )
-    qps_on = [r["qps"] for r in overhead_rows if r["metrics"] == "on"]
-    qps_off = [r["qps"] for r in overhead_rows if r["metrics"] == "off"]
-    pair_ratios = [on / off for on, off in zip(qps_on, qps_off)]
-    # Scheduler contention only ever slows a run down, so the cleanest
-    # interleaved pair — the max ratio — upper-bounds the true overhead.
-    overhead = 1.0 - max(pair_ratios)
     assert overhead <= OVERHEAD_QPS_TOLERANCE, (
         f"instrumentation costs {overhead * 100:.1f}% QPS "
-        f"(bar: {OVERHEAD_QPS_TOLERANCE * 100:.0f}%; best of "
-        f"{len(pair_ratios)} paired trials, ratios "
+        f"(bar: {OVERHEAD_QPS_TOLERANCE * 100:.0f}%; median of "
+        f"{len(pair_ratios)} interleaved pairs, ratios "
         f"{[round(r, 3) for r in pair_ratios]})"
     )
-    http_speedup = max(r["qps"] for r in http_rows[1:]) / http_rows[0]["qps"]
+    sweep = ", ".join(
+        f"{row['clients']} clients {row['qps']:.0f} QPS (p99 {row['p99_ms']:.2f}ms)"
+        for row in sweep_rows
+    )
     print(
-        f"OK: {speedup:.2f}x QPS at a {best['window_ms']}ms batch window vs no "
-        f"batching (bar {QPS_SPEEDUP_BAR}x; {http_speedup:.2f}x end-to-end over "
-        f"HTTP), mean batch {best['mean_batch']}, responses bit-identical; "
-        f"fsync'd WAL costs {wal_slowdown:.2f}x write throughput "
-        f"(ceiling {WAL_SLOWDOWN_CEILING}x); instrumentation costs "
-        f"{max(overhead, 0.0) * 100:.1f}% QPS "
-        f"(bar {OVERHEAD_QPS_TOLERANCE * 100:.0f}%)"
+        f"OK: {sweep}; responses bit-identical; fsync'd WAL costs "
+        f"{wal_slowdown:.2f}x write throughput (ceiling {WAL_SLOWDOWN_CEILING}x); "
+        f"instrumentation costs {overhead * 100:.1f}% QPS, IQR "
+        f"{ratio_iqr * 100:.1f} points (bar {OVERHEAD_QPS_TOLERANCE * 100:.0f}%)"
     )
 
 

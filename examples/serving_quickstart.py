@@ -11,16 +11,17 @@ The script walks the full serving workflow of :mod:`repro.serving`:
    operators + incremental neighbour state);
 3. warm-start an :class:`~repro.serving.InferenceSession` from the bundle —
    the first prediction performs **zero** k-NN distance computations;
-4. serve micro-batched queries (labels, logits, embeddings) from one shared
-   forward pass;
+4. serve batched queries (labels, logits, embeddings) from one shared
+   forward pass, frozen into an immutable generation;
 5. insert new nodes online: the topology is repaired through the incremental
    backend instead of being rebuilt;
 6. delete nodes online (lazy tombstoning), compact the session (physical
    shrink + old->new id remap) and install a background cluster
    re-assignment policy that bounds frozen-membership staleness;
-7. put the bundle behind the batched HTTP front-end
+7. put the bundle behind the HTTP front-end
    (:class:`~repro.serving.ServingServer`) and drive it over a socket:
-   coalesced predicts, an online insert, operational stats.  Outside an
+   concurrent predicts answered from the published generation, an online
+   insert that publishes the next one, operational stats.  Outside an
    example, ``python -m repro.cli serve --bundle ...`` starts the same
    server standalone;
 8. prove the durability story: start that standalone server as a real
@@ -34,8 +35,8 @@ The script walks the full serving workflow of :mod:`repro.serving`:
    session re-partitions the survivors (a *rebalance*) while every answer
    stays bit-identical to an unsharded session fed the same mutations;
 10. watch the server run: scrape the Prometheus ``/metrics`` plane, capture
-    a structured per-request trace (queue/batch/forward spans that sum to
-    the end-to-end latency) and pretty-print the live operational state
+    a structured per-request trace (parse and answer spans that sum to the
+    end-to-end latency) and pretty-print the live operational state
     with the ``repro stats`` command-line client.
 """
 
@@ -84,7 +85,7 @@ def main() -> None:
         print(f"warm-start predictions for nodes [0, 5, 42]: {labels.tolist()}")
         print(f"distance pairs computed so far: {DISTANCE_COUNTERS.pairs}")
 
-        # 4. Micro-batched requests share one cached forward pass.
+        # 4. Batched requests are slices of one frozen forward pass.
         logits, embeddings, everything = session.predict_batch(
             [
                 {"nodes": [7, 9], "output": "logits"},
@@ -93,7 +94,7 @@ def main() -> None:
             ]
         )
         print(
-            f"micro-batch: {logits.shape} logits, {embeddings.shape} embeddings, "
+            f"batch: {logits.shape} logits, {embeddings.shape} embeddings, "
             f"{everything.shape[0]} labels from {session.forwards} forward pass(es)"
         )
 
@@ -149,10 +150,10 @@ def main() -> None:
         print(f"checkpointed the churned session: {checkpoint.name} "
               f"({checkpoint.stat().st_size / 1024:.0f} KiB), predictions match")
 
-        # 7. The HTTP front-end: a session pool of forked read replicas
-        #    behind a micro-batching request queue.  Concurrent single-node
-        #    predicts coalesce into one cached forward; writes go through
-        #    the single writer and republish to fresh replicas.
+        # 7. The HTTP front-end: a session pool whose single writer
+        #    publishes one immutable generation per write.  Every predict is
+        #    answered inline from the current generation and names its id;
+        #    writes go through the writer and swap in the next generation.
         asyncio.run(_drive_http_server(checkpoint, dataset))
 
         # 8. Fault tolerance: the same server as a subprocess with a
@@ -174,7 +175,7 @@ async def _drive_http_server(bundle: Path, dataset) -> None:
 
     server = ServingServer(
         FrozenModel.load(bundle),
-        ServerConfig(port=0, replicas=2, batch_window_ms=2.0),
+        ServerConfig(port=0),
     )
     await server.start()
     try:
@@ -196,7 +197,7 @@ async def _drive_http_server(bundle: Path, dataset) -> None:
         print(f"HTTP server up on port {server.port}: {health}")
 
         # Concurrent predicts (one connection each, like distinct clients)
-        # coalesce into micro-batches server-side.
+        # are each a slice of the same published generation.
         async def lone_client(node: int):
             lone_reader, lone_writer = await asyncio.open_connection(
                 "127.0.0.1", server.port
@@ -217,21 +218,22 @@ async def _drive_http_server(bundle: Path, dataset) -> None:
 
         answers = await asyncio.gather(*[lone_client(node) for node in range(6)])
         print(f"6 concurrent predicts -> labels "
-              f"{[answer['result'] for answer in answers]}")
+              f"{[answer['result'] for answer in answers]} from generations "
+              f"{sorted({answer['generation'] for answer in answers})}")
 
         # One more node joins over the wire; the response names its new id
-        # and the very next read already sees generation 2.
+        # and the very next read already comes from generation 2.
         row = (dataset.features[0] + 0.01).tolist()
         inserted = await request("POST", "/insert", {"features": [row]})
-        batched = await request(
+        fresh = await request(
             "POST", "/predict", {"nodes": inserted["ids"], "output": "logits"}
         )
         stats = await request("GET", "/stats")
         print(f"HTTP insert -> ids {inserted['ids']} at generation "
-              f"{inserted['generation']}; logits {batched['result']}")
-        print(f"server stats: {stats['batcher']['requests']} requests in "
-              f"{stats['batcher']['batches']} dispatches "
-              f"(mean batch {stats['batcher']['mean_batch_size']})")
+              f"{inserted['generation']}; logits {fresh['result']} from "
+              f"generation {fresh['generation']}")
+        print(f"server stats: generation {stats['pool']['generation']}, "
+              f"{stats['telemetry']['queue_depth']} requests in flight")
         writer.close()
     finally:
         await server.shutdown()
@@ -249,7 +251,7 @@ def _crash_and_recover(bundle: Path, dataset, tmp: Path) -> None:
     checkpoint, wal = tmp / "serve_ckpt.npz", tmp / "serve_mutations.wal"
     argv = [
         sys.executable, "-m", "repro.cli", "serve",
-        "--bundle", str(bundle), "--port", "0", "--replicas", "1",
+        "--bundle", str(bundle), "--port", "0",
         "--checkpoint", str(checkpoint), "--wal", str(wal),
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
@@ -375,8 +377,7 @@ async def _observability(bundle: Path) -> None:
     # production you sample, and requests over --slow-ms always log).
     server = ServingServer(
         FrozenModel.load(bundle),
-        ServerConfig(port=0, replicas=2, batch_window_ms=2.0,
-                     trace_sample_rate=1.0),
+        ServerConfig(port=0, trace_sample_rate=1.0),
     )
     traces: list[logging.LogRecord] = []
     handler = logging.Handler()
@@ -398,7 +399,7 @@ async def _observability(bundle: Path) -> None:
         await reader.readexactly(int(head[marker:head.index(b"\r", marker)]))
 
         # The Prometheus text plane: counters, gauges and histograms from
-        # every layer (server, batcher, pool, WAL, shards) in one scrape.
+        # every layer (server, pool, WAL, shards) in one scrape.
         writer.write(b"GET /metrics HTTP/1.1\r\nHost: quickstart\r\n"
                      b"Content-Length: 0\r\n\r\n")
         await writer.drain()
@@ -409,14 +410,14 @@ async def _observability(bundle: Path) -> None:
         )
         lines = scrape.decode().splitlines()
         shown = [line for line in lines
-                 if line.startswith(("repro_requests_total", "repro_batch"))]
+                 if line.startswith(("repro_requests_total", "repro_generation"))]
         print(f"GET /metrics: {len(lines)} exposition lines, e.g.")
         for line in shown[:4]:
             print(f"  {line}")
         writer.close()
 
         # The sampled trace arrived as one structured JSON log line whose
-        # spans account for the request's end-to-end latency.
+        # spans (parse, then answer) account for the request's latency.
         trace = json.loads(traces[0].getMessage())
         print(f"request trace {trace['trace_id']}: "
               f"{trace['duration_ms']:.1f}ms total, spans "

@@ -9,8 +9,7 @@ Seven sub-commands mirror the common workflows::
     python -m repro.cli export  --dataset cora-cocitation --model dhgnn \
                                 --epochs 150 --out bundle.npz
     python -m repro.cli predict --bundle bundle.npz --nodes 0 5 42 --output labels
-    python -m repro.cli serve   --bundle bundle.npz --replicas 2 \
-                                --batch-window-ms 2 --port 8100
+    python -m repro.cli serve   --bundle bundle.npz --port 8100
     python -m repro.cli stats   http://127.0.0.1:8100
 
 ``export`` trains a dynamic-topology model and writes a serving bundle
@@ -20,14 +19,14 @@ touching the training stack — a warm start performs zero k-NN distance
 computations — and exercises the online node lifecycle (``--delete`` to
 tombstone nodes, ``--compact`` to shrink the state and re-number ids,
 ``--reassign-clusters`` to refresh the cluster hyperedge memberships).
-``serve`` exposes a bundle over batched asyncio HTTP/JSON
-(:mod:`repro.serving.server`): concurrent ``POST /predict`` requests are
-coalesced into micro-batches off one cached forward, reads fan out over
-forked replica sessions, writes (``/insert``, ``/update``, ``/delete``,
-``/compact``, ``/reassign``) serialise through a single writer session and
-republish, and a bounded queue sheds overload with HTTP 429.
+``serve`` exposes a bundle over asyncio HTTP/JSON
+(:mod:`repro.serving.server`): ``POST /predict`` is answered inline from the
+current published generation (one immutable forward), writes
+(``/insert``, ``/update``, ``/delete``, ``/compact``, ``/reassign``)
+serialise through a single writer session and republish, and a cap on the
+requests in flight sheds overload with HTTP 429.
 ``stats`` polls a running server's ``GET /stats`` and pretty-prints the
-telemetry, batcher/pool counters and latency percentiles (``--json`` passes
+telemetry, pool counters and latency percentiles (``--json`` passes
 the raw payload through); the server side exposes the same numbers as a
 Prometheus text exposition on ``GET /metrics``.
 
@@ -204,27 +203,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     serve = subparsers.add_parser(
-        "serve", help="serve a bundle over HTTP with micro-batching and replicas"
+        "serve",
+        help="serve a bundle over HTTP: reads answered inline from the "
+        "current published generation, writes through one writer",
     )
     serve.add_argument("--bundle", required=True, help="bundle written by export")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8100, help="0 picks a free port")
     serve.add_argument(
-        "--replicas", type=int, default=2,
-        help="read-replica sessions forked from the single writer session",
-    )
-    serve.add_argument(
-        "--batch-window-ms", type=float, default=2.0,
-        help="micro-batching window: concurrent predict requests arriving "
-        "within it are coalesced into one cached forward (0 disables)",
-    )
-    serve.add_argument(
-        "--max-batch-size", type=int, default=64,
-        help="cap on how many requests one coalesced batch may hold",
-    )
-    serve.add_argument(
         "--max-queue-depth", type=int, default=1024,
-        help="admission control: pending requests beyond this are rejected "
+        help="admission control: requests in flight beyond this are rejected "
         "with HTTP 429 instead of queueing without bound",
     )
     serve.add_argument(
@@ -244,11 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-wal-fsync", action="store_true",
         help="skip the per-record fsync (faster writes, last records may be "
         "lost on an OS crash; process crashes still recover fully)",
-    )
-    serve.add_argument(
-        "--request-timeout-s", type=float, default=30.0,
-        help="per-request predict deadline; expiry answers HTTP 504 "
-        "(0 disables)",
     )
     serve.add_argument(
         "--write-timeout-s", type=float, default=120.0,
@@ -518,14 +501,10 @@ def _command_serve(args: argparse.Namespace) -> int:
     config = ServerConfig(
         host=args.host,
         port=args.port,
-        replicas=args.replicas,
-        batch_window_ms=args.batch_window_ms,
-        max_batch_size=args.max_batch_size,
         max_queue_depth=args.max_queue_depth,
         checkpoint_path=args.checkpoint,
         wal_path=args.wal,
         wal_fsync=not args.no_wal_fsync,
-        request_timeout_s=args.request_timeout_s or None,
         write_timeout_s=args.write_timeout_s or None,
         cluster_assignment=args.cluster_assignment,
         shards=args.shards,
@@ -548,8 +527,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         await server.start()
         print(
             f"serving {args.bundle} on http://{config.host}:{server.port} "
-            f"({config.replicas} replicas, {config.batch_window_ms}ms batch window, "
-            f"queue depth {config.max_queue_depth})",
+            f"(at most {config.max_queue_depth} requests in flight)",
             file=sys.stderr,
         )
         try:
@@ -606,25 +584,10 @@ def _command_stats(args: argparse.Namespace) -> int:
         "recovered_mutations": telemetry.get("recovered_mutations"),
     })
 
-    batcher = payload.get("batcher", {})
-    if batcher:
-        print()
-        _print_kv_block("batcher", {
-            "requests": batcher.get("requests"),
-            "batches": batcher.get("batches"),
-            "mean_batch_size": batcher.get("mean_batch_size"),
-            "max_batch_size": batcher.get("max_batch_size"),
-            "rejected (429)": batcher.get("rejected"),
-            "expired (504)": batcher.get("expired"),
-            "pending": batcher.get("pending"),
-        })
-
     pool = payload.get("pool", {})
     if pool:
         print()
         _print_kv_block("pool", {
-            "replicas": pool.get("replicas"),
-            "served_per_replica": pool.get("served_per_replica"),
             "checkpoints": pool.get("checkpoints"),
             "last_seq": pool.get("last_seq"),
             "failure": pool.get("failure"),

@@ -321,7 +321,7 @@ class ShardedBackend(NeighborBackend):
         )
 
     # ------------------------------------------------------------------ #
-    # Persistence / cloning (serving fork + operator-store round-trip)
+    # Persistence / cloning (private session copies + operator-store round-trip)
     # ------------------------------------------------------------------ #
     def export_states(self) -> list[dict]:
         """Snapshot of the cached states, least recently used first."""
@@ -388,7 +388,7 @@ class ShardedBackend(NeighborBackend):
         self._states = restored[-self.max_states:]
 
     def clone(self) -> "ShardedBackend":
-        """Independent copy (private states + map) for session forks."""
+        """Independent copy (private states + map) for a session or snapshot."""
         shard_map = None
         if self.shard_map is not None:
             shard_map = ShardMap(

@@ -1,9 +1,9 @@
 """Process-wide metrics registry: counters, gauges and latency histograms.
 
 The serving stack (:mod:`repro.serving`) reports every operational signal —
-request counts and latencies, batcher queue depth and realized batch sizes,
-WAL append/fsync cost, checkpoint duration, per-replica utilisation, shard
-repair fan-out, cache hit rates — through one :class:`MetricsRegistry`.
+request counts and latencies, requests in flight and load shed, WAL
+append/fsync cost, publish and checkpoint duration, shard repair fan-out,
+cache hit rates — through one :class:`MetricsRegistry`.
 The registry is deliberately small and dependency-free:
 
 * **Counters** are monotonic floats, optionally labelled
@@ -20,7 +20,7 @@ The registry is deliberately small and dependency-free:
   bounded memory regardless of traffic.
 
 Thread safety: every instrument guards its state with one lock; increments
-from replica worker threads and the event loop interleave safely.  Cost
+from writer threads and the event loop interleave safely.  Cost
 discipline: a disabled registry (``MetricsRegistry(enabled=False)``) turns
 every instrument into a no-op, which is what the serving benchmark's
 instrumentation-overhead phase compares against.
@@ -40,6 +40,7 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left
+from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.analysis.sanitize import guard_attrs
@@ -57,7 +58,7 @@ __all__ = [
 ]
 
 #: Default histogram buckets (seconds): sub-millisecond to 10 s, the span of
-#: one micro-batched predict up to a full compaction + republish.
+#: one inline predict up to a full compaction + republish.
 DEFAULT_LATENCY_BUCKETS = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
@@ -110,12 +111,26 @@ class _Instrument:
         self.enabled = True
 
     def _key(self, labels: Mapping[str, Any]) -> tuple[str, ...]:
-        if set(labels) != set(self.labelnames):
-            raise ConfigurationError(
-                f"metric {self.name} takes labels {self.labelnames}, "
-                f"got {tuple(sorted(labels))}"
-            )
-        return tuple(str(labels[name]) for name in self.labelnames)
+        if len(labels) == len(self.labelnames):
+            try:
+                return tuple([str(labels[name]) for name in self.labelnames])
+            except KeyError:
+                pass
+        raise ConfigurationError(
+            f"metric {self.name} takes labels {self.labelnames}, "
+            f"got {tuple(sorted(labels))}"
+        )
+
+    def labels(self, **labels: Any) -> Callable[[float], None]:
+        """The updater of one child, its label key resolved once.
+
+        ``counter.labels(route="/predict", status="200")(1.0)`` is
+        ``counter.inc(1.0, route="/predict", status="200")`` minus the
+        per-call label check, for per-request hot paths (a gauge's updater
+        sets, a histogram's observes).  Raises
+        :class:`~repro.errors.ConfigurationError` for a wrong label set.
+        """
+        return partial(self._update, self._key(labels))
 
     def _label_suffix(self, key: tuple[str, ...]) -> str:
         if not self.labelnames:
@@ -146,13 +161,16 @@ class Counter(_Instrument):
         A negative ``amount`` raises
         :class:`~repro.errors.ConfigurationError` — counters only go up.
         """
+        if self.enabled:
+            self._update(self._key(labels), amount)
+
+    def _update(self, key: tuple[str, ...], amount: float) -> None:
         if not self.enabled:
             return
         if amount < 0:
             raise ConfigurationError(
                 f"counter {self.name} cannot decrease (inc by {amount})"
             )
-        key = self._key(labels)
         with self._lock:
             self._children[key] = self._children.get(key, 0.0) + amount
 
@@ -197,9 +215,12 @@ class Gauge(_Instrument):
         self._fn: Callable[[], float] | None = None
 
     def set(self, value: float, **labels: Any) -> None:
+        if self.enabled:
+            self._update(self._key(labels), value)
+
+    def _update(self, key: tuple[str, ...], value: float) -> None:
         if not self.enabled:
             return
-        key = self._key(labels)
         with self._lock:
             self._children[key] = float(value)
 
@@ -286,9 +307,12 @@ class Histogram(_Instrument):
         self.buckets = edges
 
     def observe(self, value: float, **labels: Any) -> None:
+        if self.enabled:
+            self._update(self._key(labels), value)
+
+    def _update(self, key: tuple[str, ...], value: float) -> None:
         if not self.enabled:
             return
-        key = self._key(labels)
         value = float(value)
         index = bisect_left(self.buckets, value)
         with self._lock:
@@ -301,9 +325,9 @@ class Histogram(_Instrument):
     def observe_many(self, values: Iterable[float], **labels: Any) -> None:
         """File a batch of values under one lock acquisition.
 
-        Hot paths that produce one observation per request (the batcher's
-        queue-wait tracking, for instance) amortise the lock and child
-        lookup across the whole batch instead of paying them per item.
+        Hot paths that produce one observation per item of a batch amortise
+        the lock and child lookup across the whole batch instead of paying
+        them per item.
         """
         if not self.enabled:
             return

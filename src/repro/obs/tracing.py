@@ -12,17 +12,15 @@ in :func:`span`::
         with span("knn"):
             backend.query(...)
 
-``contextvars`` gives the propagation two properties the serving stack
-needs for free: each asyncio task sees its own activation (concurrent
-requests don't bleed into each other), and
-``loop.run_in_executor(...)`` copies the calling context into the worker
-thread, so spans recorded inside a replica's thread land on the request's
-trace without any plumbing.
+``contextvars`` gives the propagation the property the serving stack needs
+for free: each asyncio task sees its own activation, so concurrent requests
+don't bleed into each other.  The serving write path re-activates the
+request's traces inside its executor thread, so spans recorded there land
+on the request's trace too.
 
-**Fan-out**: the micro-batcher coalesces many requests into one forward
-pass, so a single ``span("forward")`` must be billed to every member of
-the batch.  :func:`activate` therefore accepts multiple traces and the
-sink is a tuple; :func:`span` adds the elapsed time to each.
+**Fan-out**: work shared by several requests must be billed to each of
+them, so :func:`activate` accepts multiple traces and the sink is a tuple;
+:func:`span` adds the elapsed time to each.
 
 **Cost discipline**: when nothing is activated (tracing disabled or an
 unsampled request), :func:`span` checks one ContextVar and yields — no
@@ -114,10 +112,9 @@ def current_traces() -> tuple["Trace", ...]:
 def activate(*traces: "Trace") -> Iterator[tuple["Trace", ...]]:
     """Route :func:`span` timings to ``traces`` within this context.
 
-    Activations nest by replacement, not accumulation: the batcher's
-    worker-side ``activate(*batch_traces)`` supersedes whatever the event
-    loop had active, which is exactly the fan-out semantics a coalesced
-    batch needs.
+    Activations nest by replacement, not accumulation: a worker-side
+    ``activate(*traces)`` supersedes whatever the calling context had
+    active, which is exactly the fan-out semantics shared work needs.
     """
     token = _SINK.set(traces if traces else None)
     try:
@@ -147,8 +144,9 @@ def record_span(name: str, seconds: float) -> None:
             trace.add(name, seconds)
     profiler = _SPAN_PROFILER
     if profiler is not None:
-        # Replica worker threads record concurrently; OpProfiler itself is
-        # single-threaded (training owns one per run), so serialise here.
+        # The event loop and writer threads record concurrently; OpProfiler
+        # itself is single-threaded (training owns one per run), so
+        # serialise here.
         with _PROFILER_LOCK:
             profiler.record_forward(name, seconds, 0)
 

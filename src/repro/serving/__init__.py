@@ -8,24 +8,26 @@ The serving layer turns a trained model into a deployable artefact:
 * :class:`OperatorStore` — one-file persistence of operators, weights and
   incremental neighbour state, so server restarts (and repeated sweeps)
   skip cold topology rebuilds entirely;
-* :class:`InferenceSession` — micro-batched queries plus the full online
-  node lifecycle through scoped incremental topology repairs: feature
-  updates, insertion, deletion (lazy tombstoning), compaction (physical
-  shrink + id remap) and periodic cluster re-assignment; a churned session
-  freezes back into a bundleable model with
-  :meth:`InferenceSession.to_frozen` and fans out to read replicas with
-  :meth:`InferenceSession.fork`;
+* :class:`InferenceSession` — queries plus the full online node lifecycle
+  through scoped incremental topology repairs: feature updates, insertion,
+  deletion (lazy tombstoning), compaction (physical shrink + id remap) and
+  periodic cluster re-assignment; a churned session freezes back into a
+  bundleable model with :meth:`InferenceSession.to_frozen`;
+* :class:`Generation` — one forward frozen into read-only arrays (labels
+  computed once, logits, embeddings, alive mask); every query, direct or
+  over HTTP, is :meth:`Generation.answer` on one of them;
 * :class:`ShardedSession` — the same session over a k-means-partitioned
   node set: per-shard neighbour state with scoped repairs, mutations
   routed by a persisted shard map (``repro export --shards N``), and a
   rebalance on :meth:`InferenceSession.compact`; cross-shard answers are
   merged deterministically and stay bit-identical to the unsharded exact
   backend at every shard count;
-* :class:`ServingServer` (``repro.serving.server``) — a batched asyncio
-  HTTP/JSON front-end: a micro-batching request queue over a
-  :class:`SessionPool` of forked read replicas, a single-writer mutation
-  path that republishes after every write, and admission control with
-  graceful drain.  ``python -m repro.cli serve --bundle ...`` starts one;
+* :class:`ServingServer` (``repro.serving.server``) — an asyncio HTTP/JSON
+  front-end over a :class:`SessionPool`: reads are answered inline from the
+  current published generation, a single-writer mutation path republishes
+  (one pointer swap) after every write, and admission control caps the
+  requests in flight with graceful drain.  ``python -m repro.cli serve
+  --bundle ...`` starts one;
 * fault tolerance (``repro.serving.wal`` / ``repro.serving.faults``) — a
   checksummed, fsync'd :class:`WriteAheadLog` journals every mutation
   before it is applied, :meth:`SessionPool.recover` replays the journal
@@ -67,15 +69,12 @@ from repro.serving.frozen import (
     prime_backend,
 )
 from repro.serving.server import (
-    MicroBatcher,
     ServerConfig,
-    ServerDrainingError,
-    ServerOverloadedError,
     ServingServer,
     SessionPool,
     WriterQuarantinedError,
 )
-from repro.serving.session import InferenceSession, ShardedSession
+from repro.serving.session import Generation, InferenceSession, ShardedSession
 from repro.serving.store import OperatorStore, pack_hypergraph, unpack_hypergraph
 from repro.serving.wal import (
     WAL_HEADER,
@@ -90,12 +89,10 @@ __all__ = [
     "FaultInjected",
     "FaultRegistry",
     "FrozenModel",
+    "Generation",
     "InferenceSession",
-    "MicroBatcher",
     "OperatorStore",
     "ServerConfig",
-    "ServerDrainingError",
-    "ServerOverloadedError",
     "ServingServer",
     "SessionPool",
     "ShardedSession",

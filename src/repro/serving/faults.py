@@ -33,7 +33,7 @@ comma-separated ``point=action`` list read at import time, which is how a
 *subprocess* under test is armed::
 
     REPRO_FAULTS="wal.before_fsync=crash@2" python -m repro.cli serve ...
-    REPRO_FAULTS="pool.mid_apply=raise,batcher.before_dispatch=delay:0.5"
+    REPRO_FAULTS="pool.mid_apply=raise,wal.before_fsync=delay:0.5"
 
 Modules *declare* their points at import time (:func:`declare_fault_point`),
 so ``fault_registry().points()`` enumerates every crash point in the codebase

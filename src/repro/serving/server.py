@@ -1,63 +1,49 @@
-"""Batched asyncio HTTP serving front-end over :class:`InferenceSession`.
+"""Asyncio HTTP serving front-end over one immutable published generation.
 
 The in-process serving story (:class:`~repro.serving.FrozenModel` +
 :class:`~repro.serving.InferenceSession`) stops at a Python API; production
-traffic needs a process boundary.  This module provides it as three layers,
-mirroring the queue/worker split of distributed-GNN serving stacks:
+traffic needs a process boundary.  This module provides it as two layers:
 
-* :class:`SessionPool` — one **writer** session plus N forked **read
-  replicas** of a single frozen model.  PR 5's session isolation (private
-  plan, features, engine, cache and neighbour state per session) is what
-  makes replicas safe.  All mutations are serialised through the writer; a
-  *publish* then refreshes the writer's topology exactly once and fans the
-  refreshed state out to a brand-new replica set via
-  :meth:`InferenceSession.fork` — replicas inherit the cached forward, so a
-  swap costs no replica-side forward or k-NN work.  Durability is layered:
-  with a checkpoint path configured, every publish of a tombstone-free
-  writer persists the current state as a bundle through the (atomic-write)
-  :class:`~repro.serving.OperatorStore`; with a WAL path configured, every
-  mutation is additionally journalled and fsync'd **before** it is applied
+* :class:`SessionPool` — one **writer** session over a frozen model plus the
+  :class:`~repro.serving.Generation` it last published.  Every mutation is
+  applied to the writer; a *publish* then refreshes the writer's topology
+  exactly once, freezes the result into a new read-only generation and swaps
+  it in with one assignment (read-copy-update).  Reads never touch the
+  writer: each is a slice of whichever generation was current when it
+  started.  Durability is layered: with a checkpoint path configured, every
+  publish of a tombstone-free writer persists the current state as a bundle
+  through the (atomic-write) :class:`~repro.serving.OperatorStore`; with a
+  WAL path configured, every mutation is additionally journalled and
+  fsync'd **before** it is applied
   (:class:`~repro.serving.wal.WriteAheadLog`), so a crash *between*
   checkpoints loses nothing — :meth:`SessionPool.recover` replays the
   journal suffix on top of the last checkpoint and reconstructs the
   pre-crash state bit-for-bit.  Failure containment: a writer that throws
   mid-apply is **quarantined** — the pool degrades to read-only (writes
   raise :class:`WriterQuarantinedError` → HTTP 503 + ``Retry-After``) while
-  the replicas keep serving the last published generation;
-* :class:`MicroBatcher` — a bounded asyncio request queue that coalesces
-  concurrent predict requests arriving within ``batch_window_ms`` into one
-  :meth:`InferenceSession.predict_batch` call on one replica.  Batching
-  amortises the per-request event-loop → worker-thread round-trip; a window
-  of ``0`` disables coalescing (every request is its own dispatch).
-  Admission control: once ``max_queue_depth`` requests are pending, further
-  requests are rejected immediately (HTTP 429) instead of growing the queue
-  without bound.  Every admitted request is guaranteed an answer: an
-  unexpected ``predict_batch`` failure resolves the whole batch with the
-  error (a structured 500, never a dropped connection), and dispatcher
-  shutdown fails still-queued futures instead of leaking them;
+  reads keep serving the last published generation;
 * :class:`ServingServer` — a dependency-free asyncio HTTP/1.1 (keep-alive)
-  front-end speaking JSON.  ``POST /predict`` is coalesced through the
-  batcher; ``POST /insert|update|delete|compact|reassign`` take the single
-  writer path and republish; both paths carry **per-request deadlines**
-  (``request_timeout_s`` / ``write_timeout_s``) answered with HTTP 504 on
-  expiry, so a wedged executor call can no longer block a connection
-  forever.  ``GET /healthz`` is a real state machine — ``ok`` /
-  ``degraded`` / ``draining`` plus WAL depth, queue depth and checkpoint
-  age, so a load balancer can drain a degraded node.  Shutdown drains: new
-  requests get 503, queued and in-flight batches finish, then the sockets
-  close.
+  front-end speaking JSON.  ``POST /predict`` validates and slices against
+  the current generation inline on the event loop — no queue, no executor
+  hop — and stamps the answer with that generation's id.
+  ``POST /insert|update|delete|compact|reassign`` take the single-writer
+  path in an executor thread and republish; a per-write deadline
+  (``write_timeout_s``) is answered with HTTP 504.  Admission control caps
+  the requests in flight at ``max_queue_depth`` (HTTP 429 beyond it).
+  ``GET /healthz`` is a real state machine — ``ok`` / ``degraded`` /
+  ``draining`` plus WAL depth, requests in flight and checkpoint age, so a
+  load balancer can drain a degraded node.  Shutdown drains: new requests
+  get 503, in-flight ones finish, then the sockets close.
 
 Responses are **bit-identical** to calling the underlying session directly:
-the server only ever slices the same cached forward a local
-``session.predict`` would.  Start one from the CLI::
+both answer through :meth:`Generation.answer`.  Start one from the CLI::
 
-    python -m repro.cli serve --bundle bundle.npz --replicas 2 --port 8100 \
+    python -m repro.cli serve --bundle bundle.npz --port 8100 \\
         --checkpoint ckpt.npz --wal ckpt.wal
 
 or programmatically (see ``benchmarks/bench_serving.py``)::
 
-    server = ServingServer(FrozenModel.load("bundle.npz"),
-                           ServerConfig(port=0, batch_window_ms=2.0))
+    server = ServingServer(FrozenModel.load("bundle.npz"), ServerConfig(port=0))
     await server.start()
     ...
     await server.shutdown()
@@ -70,8 +56,8 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import asynccontextmanager, suppress
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -93,17 +79,14 @@ from repro.obs.tracing import (
 )
 from repro.serving.faults import declare_fault_point, fault_point
 from repro.serving.frozen import FrozenModel
-from repro.serving.session import InferenceSession, ShardedSession
+from repro.serving.session import Generation, InferenceSession, ShardedSession
 from repro.serving.wal import WALRecord, WriteAheadLog
 from repro.utils.logging import get_logger, log_event
 from repro.utils.profiling import OpProfiler
 from repro.utils.rng import as_rng
 
 __all__ = [
-    "MicroBatcher",
     "ServerConfig",
-    "ServerDrainingError",
-    "ServerOverloadedError",
     "ServingServer",
     "SessionPool",
     "WriterQuarantinedError",
@@ -122,19 +105,10 @@ _REASONS = {
 
 declare_fault_point("pool.before_apply", "request journalled, writer untouched")
 declare_fault_point("pool.mid_apply", "writer mutated, generation not published")
-declare_fault_point("pool.before_publish", "start of refresh + replica fan-out")
+declare_fault_point("pool.before_publish", "start of refresh + generation swap")
 declare_fault_point("pool.after_publish", "new generation live, not checkpointed")
 declare_fault_point("pool.before_checkpoint", "snapshot built, not yet on disk")
 declare_fault_point("pool.after_checkpoint", "checkpoint durable, WAL not truncated")
-declare_fault_point("batcher.before_dispatch", "inside the predict worker thread")
-
-
-class ServerOverloadedError(Exception):
-    """The request queue is at ``max_queue_depth``; try again later (429)."""
-
-
-class ServerDrainingError(Exception):
-    """The server is shutting down; the request was not served (503)."""
 
 
 class WriterQuarantinedError(Exception):
@@ -172,38 +146,31 @@ def _feature_list(features: Any) -> list:
 class ServerConfig:
     """Tunables of the serving front-end.
 
-    ``batch_window_ms`` is the micro-batching window: the first queued
-    predict request opens a batch, requests arriving within the window join
-    it (up to ``max_batch_size``), and the whole batch is answered from one
-    cached forward by one replica.  ``0`` disables coalescing.
-    ``max_queue_depth`` bounds the number of queued-but-unanswered predict
-    requests; beyond it the server sheds load with HTTP 429.  ``replicas``
-    sets the read-replica count (the writer session is separate);
-    ``drain_timeout_s`` caps how long shutdown waits for in-flight work.
+    ``max_queue_depth`` caps the requests in flight — the writes queued on
+    or running in the single writer, since a read is answered inline before
+    the next request is parsed; beyond it every ``POST`` is shed with HTTP
+    429.  ``drain_timeout_s`` caps how long shutdown waits for in-flight
+    work.
 
     Fault tolerance: ``checkpoint_path`` persists every tombstone-free
     published generation as an atomic warm-start bundle — and when a bundle
     already exists there at startup, the server restarts *from it* instead
     of the cold bundle.  ``wal_path`` journals every mutation (fsync'd
     before apply, unless ``wal_fsync=False``) so recovery replays the suffix
-    since the last checkpoint.  ``request_timeout_s`` / ``write_timeout_s``
-    are per-request deadlines answered with HTTP 504 (``None`` disables);
-    an expired *write* additionally quarantines the pool, because the
-    wedged writer thread's state can no longer be trusted.
+    since the last checkpoint.  ``write_timeout_s`` is the per-write
+    deadline answered with HTTP 504 (``None`` disables); an expired write
+    also quarantines the pool, because the wedged writer thread's state can
+    no longer be trusted.
     """
 
     host: str = "127.0.0.1"
     port: int = 8100
-    replicas: int = 2
-    batch_window_ms: float = 2.0
-    max_batch_size: int = 64
     max_queue_depth: int = 1024
     drain_timeout_s: float = 10.0
     cluster_assignment: str = "nearest"
     checkpoint_path: str | Path | None = None
     wal_path: str | Path | None = None
     wal_fsync: bool = True
-    request_timeout_s: float | None = 30.0
     write_timeout_s: float | None = 120.0
     shards: int | None = None
     refresh_workers: int | None = None
@@ -218,30 +185,20 @@ class ServerConfig:
     profile: bool = False
 
     def __post_init__(self) -> None:
-        if self.replicas < 1:
-            raise ConfigurationError(f"replicas must be >= 1, got {self.replicas}")
         if self.shards is not None and self.shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
         if self.refresh_workers is not None and self.refresh_workers < 1:
             raise ConfigurationError(
                 f"refresh_workers must be >= 1, got {self.refresh_workers}"
             )
-        if self.batch_window_ms < 0:
-            raise ConfigurationError(
-                f"batch_window_ms must be >= 0, got {self.batch_window_ms}"
-            )
-        if self.max_batch_size < 1:
-            raise ConfigurationError(
-                f"max_batch_size must be >= 1, got {self.max_batch_size}"
-            )
         if self.max_queue_depth < 1:
             raise ConfigurationError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
             )
-        for name in ("request_timeout_s", "write_timeout_s"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigurationError(f"{name} must be > 0 or None, got {value}")
+        if self.write_timeout_s is not None and self.write_timeout_s <= 0:
+            raise ConfigurationError(
+                f"write_timeout_s must be > 0 or None, got {self.write_timeout_s}"
+            )
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ConfigurationError(
                 f"trace_sample_rate must be in [0, 1], got {self.trace_sample_rate}"
@@ -252,32 +209,20 @@ class ServerConfig:
             )
 
 
-class _Replica:
-    """One read session plus the lock serialising access to it."""
-
-    __slots__ = ("session", "lock", "served", "index")
-
-    def __init__(self, session: InferenceSession, index: int = 0) -> None:
-        self.session = session
-        self.lock = asyncio.Lock()
-        self.served = 0
-        self.index = index
-
-
 @guard_attrs(
     "_lock",
-    "_generation", "_checkpoints", "_read_only", "_failure", "_recovered",
-    "_last_checkpoint_time", "_last_seq", "_replicas", "_counter",
-    "_pending_records", "_recovering",
+    "_current", "_checkpoints", "_read_only", "_failure", "_recovered",
+    "_last_checkpoint_time", "_last_seq", "_pending_records", "_recovering",
 )
 class SessionPool:
-    """A writer session and N read replicas over one frozen model.
+    """A writer session over one frozen model and its published generation.
 
-    Reads round-robin over the replicas (preferring an idle one); writes are
-    applied to the writer only, then :meth:`publish` refreshes the writer's
-    topology once and swaps in a freshly forked replica set.  In-flight read
-    batches keep their pre-swap replica until they finish — readers always
-    serve a complete, immutable generation, never a half-mutated one.
+    Writes are applied to the writer only; :meth:`publish` then refreshes
+    the writer's topology once, freezes the result into an immutable
+    :class:`~repro.serving.Generation` and swaps it in as :attr:`current`.
+    A reader holding a generation keeps serving it, complete and unchanged,
+    however many publishes land meanwhile — readers always serve a complete,
+    immutable generation, never a half-mutated one.
 
     With ``wal_path`` set, every write is journalled and fsync'd **before**
     the writer applies it; :meth:`recover` replays the journal suffix (its
@@ -286,7 +231,7 @@ class SessionPool:
     recovered pool serves predictions bit-identical to one that never
     crashed.  A write that throws past validation **quarantines** the
     writer: :attr:`read_only` flips, further writes raise
-    :class:`WriterQuarantinedError`, and the replicas keep serving the last
+    :class:`WriterQuarantinedError`, and reads keep serving the last
     published generation — a failed apply never leaks a half-mutated state
     to readers, because publishing is always the *last* step of an apply.
     """
@@ -298,7 +243,6 @@ class SessionPool:
         self,
         frozen: FrozenModel,
         *,
-        replicas: int = 2,
         cluster_assignment: str = "nearest",
         checkpoint_path: str | Path | None = None,
         wal_path: str | Path | None = None,
@@ -306,15 +250,11 @@ class SessionPool:
         shards: int | None = None,
         refresh_workers: int | None = None,
     ) -> None:
-        if replicas < 1:
-            raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
-        self.n_replicas = int(replicas)
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
         # A pool is sharded when asked explicitly (``shards=``) or when the
         # bundle itself is — a persisted shard map or a restored sharded
-        # backend.  Either way the whole fleet (writer + forks) is sharded;
-        # recovery and checkpointing are inherited unchanged because
-        # ShardedSession is a drop-in InferenceSession.
+        # backend.  Recovery and checkpointing are inherited unchanged
+        # because ShardedSession is a drop-in InferenceSession.
         sharded = (
             shards is not None
             or frozen.meta.get("shard_map") is not None
@@ -330,11 +270,12 @@ class SessionPool:
         else:
             self.writer = InferenceSession(frozen, cluster_assignment=cluster_assignment)
         # Mutable pool state lives behind this lock: mutations run in
-        # executor threads while the event loop reads telemetry, so every
-        # access goes through a locked property/method (enforced by lint
-        # rule RL006 and, under REPRO_SANITIZE=locks, at runtime).
+        # executor threads while the event loop reads the current generation
+        # and telemetry, so every access goes through a locked property or
+        # method (enforced by lint rule RL006 and, under
+        # REPRO_SANITIZE=locks, at runtime).
         self._lock = threading.Lock()
-        self._generation = 0
+        self._current: Generation | None = None
         self._checkpoints = 0
         self._read_only = False
         self._failure: str | None = None
@@ -359,16 +300,9 @@ class SessionPool:
             "Mutations applied by the writer, including WAL replay",
             ("op",),
         )
-        self._metric_acquires = registry.counter(
-            "repro_replica_acquire_total", "Read-replica borrow count", ("replica",)
-        )
-        self._metric_busy = registry.counter(
-            "repro_replica_busy_seconds_total",
-            "Seconds each read replica spent borrowed",
-            ("replica",),
-        )
         self._metric_publish = registry.histogram(
-            "repro_publish_seconds", "Replica fan-out latency per publish"
+            "repro_publish_seconds",
+            "Writer refresh + generation freeze latency per publish",
         )
         self._metric_checkpoint = registry.histogram(
             "repro_checkpoint_seconds", "Checkpoint snapshot + persist latency"
@@ -376,16 +310,20 @@ class SessionPool:
         self._metric_checkpoints = registry.counter(
             "repro_checkpoints_total", "Checkpoints persisted"
         )
-        self._counter = 0
-        self._replicas: list[_Replica] = []
         self.publish()
 
     # -- locked state accessors ---------------------------------------- #
     @property
-    def generation(self) -> int:
-        """Monotonic count of published replica generations."""
+    def current(self) -> Generation:
+        """The live generation: what every read slices."""
         with self._lock:
-            return self._generation
+            return self._current
+
+    @property
+    def generation(self) -> int:
+        """Monotonic count of published generations (the current id)."""
+        with self._lock:
+            return self._current.id
 
     @property
     def checkpoints(self) -> int:
@@ -423,53 +361,6 @@ class SessionPool:
         with self._lock:
             return self._last_seq
 
-    def replicas(self) -> "list[_Replica]":
-        """Snapshot of the live replica set (telemetry and tests)."""
-        with self._lock:
-            return list(self._replicas)
-
-    # -- read path ----------------------------------------------------- #
-    def _pick(self) -> _Replica:
-        with self._lock:
-            replicas = self._replicas
-            start = self._counter
-            for offset in range(len(replicas)):
-                index = (start + offset) % len(replicas)
-                replica = replicas[index]
-                if not replica.lock.locked():
-                    # Advance the cursor *past the replica actually chosen*
-                    # — advancing by one while handing out start+offset
-                    # lands the next request on an already-borrowed replica
-                    # and starves the ones behind it under sustained load.
-                    self._counter = (index + 1) % len(replicas)
-                    return replica
-            self._counter = (start + 1) % len(replicas)
-            return replicas[start % len(replicas)]
-
-    @asynccontextmanager
-    async def acquire(self):
-        """Borrow one read replica (round-robin, preferring an idle one).
-
-        The lock is released in a ``finally`` so a raising request handler
-        (or a cancellation landing inside the body) can never leave the
-        replica permanently busy — a leaked lock would silently shrink the
-        read fleet one failure at a time.
-        """
-        replica = self._pick()
-        wait_start = time.perf_counter()
-        await replica.lock.acquire()
-        busy_start = time.perf_counter()
-        record_span("replica_acquire", busy_start - wait_start)
-        try:
-            replica.served += 1
-            self._metric_acquires.inc(replica=str(replica.index))
-            yield replica.session
-        finally:
-            self._metric_busy.inc(
-                time.perf_counter() - busy_start, replica=str(replica.index)
-            )
-            replica.lock.release()
-
     # -- failure containment ------------------------------------------- #
     @property
     def status(self) -> str:
@@ -491,35 +382,30 @@ class SessionPool:
                 self._failure = reason
 
     # -- write path ---------------------------------------------------- #
-    def publish(self) -> None:
-        """Refresh the writer once and fan its state out to new replicas.
+    def publish(self) -> Generation:
+        """Refresh the writer once and swap in its frozen generation.
 
-        The writer's (single) scoped refresh + forward happens here; the
-        forked replicas inherit the refreshed operators, features and the
-        cached forward, so the fan-out itself performs no further topology
-        or forward work.  When a checkpoint path is configured and the
-        writer carries no tombstones, the published generation is also
-        persisted as a warm-start bundle (atomically — replicas or restarted
-        servers can never observe a torn archive), and the WAL — whose
-        records the checkpoint now subsumes — is truncated.
+        The writer's (single) scoped refresh + forward happens here and is
+        frozen into a read-only :class:`~repro.serving.Generation`; the swap
+        itself is one assignment under the pool lock.  When a checkpoint
+        path is configured and the writer carries no tombstones, the
+        published generation is also persisted as a warm-start bundle
+        (atomically — restarted servers can never observe a torn archive),
+        and the WAL — whose records the checkpoint now subsumes — is
+        truncated.  Returns the published generation.
         """
         fault_point("pool.before_publish")
-        self.writer.predict()  # one refresh + forward for the whole fleet
-        fanout_start = time.perf_counter()
-        replicas = [
-            _Replica(self.writer.fork(seed_cache=False), index)
-            for index in range(self.n_replicas)
-        ]
-        fanout = time.perf_counter() - fanout_start
-        record_span("publish", fanout)
-        self._metric_publish.observe(fanout)
+        start = time.perf_counter()
+        forward = self.writer.generation()  # one refresh + forward, frozen once
         with self._lock:
-            self._replicas = replicas
-            self._generation += 1
+            published = replace(forward, id=self._current.id + 1 if self._current else 1)
+            self._current = published
             skip_checkpoint = self._recovering or bool(self._pending_records)
+        self._metric_publish.observe(time.perf_counter() - start)
         fault_point("pool.after_publish")
         if not skip_checkpoint:
             self._checkpoint()
+        return published
 
     def _checkpoint(self) -> None:
         """Persist the published generation + its WAL seq; truncate the WAL."""
@@ -696,8 +582,7 @@ class SessionPool:
         now = time.time()
         with self._lock:
             status = "degraded" if self._read_only else "ok"
-            generation = self._generation
-            served = [replica.served for replica in self._replicas]
+            generation = self._current.id
             checkpoints = self._checkpoints
             last_checkpoint_time = self._last_checkpoint_time
             failure = self._failure
@@ -706,8 +591,6 @@ class SessionPool:
         return {
             "status": status,
             "generation": generation,
-            "replicas": self.n_replicas,
-            "served_per_replica": served,
             "checkpoints": checkpoints,
             "last_checkpoint_age_s": (
                 round(now - last_checkpoint_time, 3)
@@ -735,317 +618,12 @@ class SessionPool:
     def close(self) -> None:
         """Release the pool's OS resources (today: the WAL file handle).
 
-        Sessions and replicas are plain in-memory state and need no
-        teardown; the journal owns an open append handle that must not
+        The writer and its generations are plain in-memory state and need
+        no teardown; the journal owns an open append handle that must not
         outlive the pool.  Idempotent.
         """
         if self.wal is not None:
             self.wal.close()
-
-
-class _Pending:
-    """One queued predict request with its admission timestamp and traces.
-
-    ``enqueued`` is recorded at admission and carried with the future, so the
-    deadline check covers the whole time since the client was admitted —
-    queue wait included — instead of restarting at dispatch; ``dequeued`` is
-    stamped when the dispatcher pops the item into a batch, splitting the
-    pre-dispatch time into queue-wait and batch-assembly spans.
-    """
-
-    __slots__ = ("request", "future", "enqueued", "dequeued", "traces")
-
-    def __init__(
-        self,
-        request: Mapping[str, Any],
-        future: asyncio.Future,
-        traces: tuple[Trace, ...],
-    ) -> None:
-        self.request = request
-        self.future = future
-        self.enqueued = time.perf_counter()
-        self.dequeued = self.enqueued
-        self.traces = traces
-
-
-class MicroBatcher:
-    """Coalesces concurrent predict requests into ``predict_batch`` calls.
-
-    Requests enter a bounded FIFO; a dispatcher task opens a batch with the
-    oldest request, waits up to the batch window for more to join (up to the
-    batch-size cap), then answers the whole batch from **one** replica with
-    one event-loop → worker-thread round-trip.  Per-request validation
-    errors come back as per-request exceptions (the session validates the
-    batch up front), so one bad request never fails its batch-mates.
-
-    No admitted request is ever left waiting forever: an unexpected
-    ``predict_batch`` exception (replica died, injected fault) resolves
-    *every* future of the batch with that error, and stopping the batcher —
-    including cancellation mid-window — fails still-queued and half-collected
-    futures with :class:`ServerDrainingError` instead of leaking them.
-
-    Deadlines cover queue time: every request carries its admission
-    timestamp, and a request whose age exceeds ``timeout_s`` when its batch
-    dispatches is answered with :class:`asyncio.TimeoutError` *without*
-    being evaluated — an expired client has already been answered 504
-    upstream, so computing its prediction would only steal replica time from
-    live requests.  Requests whose futures were cancelled by an upstream
-    ``wait_for`` are likewise dropped at dispatch.
-    """
-
-    def __init__(
-        self,
-        pool: SessionPool,
-        executor: ThreadPoolExecutor,
-        *,
-        window_s: float,
-        max_batch_size: int,
-        max_queue_depth: int,
-        timeout_s: float | None = None,
-    ) -> None:
-        self.pool = pool
-        self.executor = executor
-        self.window_s = float(window_s)
-        self.max_batch_size = int(max_batch_size)
-        self.max_queue_depth = int(max_queue_depth)
-        self.timeout_s = timeout_s
-        self._queue: asyncio.Queue = asyncio.Queue()
-        self._tasks: set[asyncio.Task] = set()
-        self._dispatcher: asyncio.Task | None = None
-        self.pending = 0
-        self.requests = 0
-        self.rejected = 0
-        self.expired = 0
-        self.batches = 0
-        self.batched_requests = 0
-        self.max_batch_observed = 0
-        registry = get_registry()
-        self._metric_shed = registry.counter(
-            "repro_requests_shed_total",
-            "Predict requests rejected at admission (HTTP 429)",
-        )
-        self._metric_expired = registry.counter(
-            "repro_requests_expired_total",
-            "Admitted predict requests dropped past their deadline",
-        )
-        self._metric_batch_size = registry.histogram(
-            "repro_batch_size",
-            "Realized micro-batch sizes",
-            buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
-        )
-        self._metric_queue_wait = registry.histogram(
-            "repro_queue_wait_seconds",
-            "Admission-to-dispatch wait of batched predict requests",
-        )
-
-    def start(self) -> None:
-        if self._dispatcher is None:
-            self._dispatcher = asyncio.create_task(self._dispatch_loop())
-
-    async def stop(self, *, drain_timeout_s: float = 10.0) -> None:
-        """Finish queued and in-flight work, then stop the dispatcher.
-
-        Work still pending when the drain deadline expires is *failed*, not
-        abandoned: every queued future resolves with
-        :class:`ServerDrainingError` so no client is left waiting on a
-        response that will never come.
-        """
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + drain_timeout_s
-        while (self.pending or self._tasks) and loop.time() < deadline:
-            await asyncio.sleep(0.005)
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            with suppress(asyncio.CancelledError):
-                await self._dispatcher
-            self._dispatcher = None
-        while not self._queue.empty():
-            self._abort_batch([self._queue.get_nowait()])
-
-    def _abort_batch(self, batch: list[_Pending]) -> None:
-        """Fail a batch that will never be dispatched (shutdown path)."""
-        error = ServerDrainingError("server stopped before the request was served")
-        for item in batch:
-            if not item.future.done():
-                item.future.set_exception(error)
-        self.pending -= len(batch)
-
-    async def submit(self, request: Mapping[str, Any]) -> Any:
-        """Queue one predict request; resolves to its result (or raises).
-
-        Raises :class:`ServerOverloadedError` immediately when the queue is
-        at ``max_queue_depth`` — load is shed at admission, not after the
-        client has already waited.
-        """
-        if self.pending >= self.max_queue_depth:
-            self.rejected += 1
-            self._metric_shed.inc()
-            raise ServerOverloadedError(
-                f"request queue is full ({self.max_queue_depth} pending)"
-            )
-        future = asyncio.get_running_loop().create_future()
-        self.pending += 1
-        self.requests += 1
-        self._queue.put_nowait(_Pending(request, future, current_traces()))
-        try:
-            return await future
-        except asyncio.CancelledError:
-            # An upstream ``wait_for`` cancels *this coroutine*, not the
-            # future; marking the future cancelled is what lets the
-            # dispatcher skip the abandoned request instead of burning a
-            # replica on an answer nobody is waiting for.
-            future.cancel()
-            raise
-
-    async def _dispatch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            batch: list[_Pending] = []
-            try:
-                item = await self._queue.get()
-                item.dequeued = time.perf_counter()
-                batch.append(item)
-                if self.window_s > 0:
-                    deadline = loop.time() + self.window_s
-                    while len(batch) < self.max_batch_size:
-                        remaining = deadline - loop.time()
-                        if remaining <= 0:
-                            break
-                        try:
-                            item = await asyncio.wait_for(self._queue.get(), remaining)
-                        except asyncio.TimeoutError:
-                            break
-                        item.dequeued = time.perf_counter()
-                        batch.append(item)
-            except asyncio.CancelledError:
-                # Shutdown mid-collection: the half-built batch would leak
-                # its futures (clients waiting forever) — fail them instead.
-                self._abort_batch(batch)
-                raise
-            task = asyncio.create_task(self._run_batch(batch))
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
-
-    @staticmethod
-    def _dispatch(
-        session: InferenceSession, requests: list, traces: tuple[Trace, ...]
-    ) -> list:
-        """The worker-thread body of one batch (fault-injectable).
-
-        ``run_in_executor`` does not carry contextvars into the worker
-        thread, so the batch's traces are re-activated here explicitly —
-        session-level spans (a forward on a cold cache, k-NN during a
-        refresh) land on every member request of the coalesced batch.
-        """
-        fault_point("batcher.before_dispatch")
-        with activate(*traces):
-            return session.predict_batch(requests, on_error="return")
-
-    def _expire(self, batch: list[_Pending]) -> list[_Pending]:
-        """Split off items already answered or past their deadline.
-
-        Returns the live remainder.  Cancelled futures (upstream 504
-        already sent) are dropped silently; items older than ``timeout_s``
-        resolve with :class:`asyncio.TimeoutError` so the submitter's own
-        deadline handling fires even if its ``wait_for`` has not yet.
-        """
-        now = time.perf_counter()
-        live: list[_Pending] = []
-        for item in batch:
-            if item.future.done():
-                self.expired += 1
-                self._metric_expired.inc()
-                continue
-            if self.timeout_s is not None and now - item.enqueued > self.timeout_s:
-                self.expired += 1
-                self._metric_expired.inc()
-                item.future.set_exception(
-                    asyncio.TimeoutError(
-                        f"request spent {now - item.enqueued:.3f}s queued, "
-                        f"over its {self.timeout_s}s deadline"
-                    )
-                )
-                continue
-            live.append(item)
-        return live
-
-    async def _run_batch(self, batch: list[_Pending]) -> None:
-        loop = asyncio.get_running_loop()
-        live = self._expire(batch)
-        dispatch_start = time.perf_counter()
-        traces: tuple[Trace, ...] = ()
-        self._metric_queue_wait.observe_many(
-            dispatch_start - item.enqueued for item in live
-        )
-        for item in live:
-            traces += item.traces
-            for trace in item.traces:
-                trace.meta["batch_size"] = len(live)
-                trace.add("queue_wait", item.dequeued - item.enqueued)
-                trace.add("batch_assembly", dispatch_start - item.dequeued)
-        before = traces[0].total() if traces else 0.0
-        requests = [item.request for item in live]
-        try:
-            if live:
-                with activate(*traces):
-                    async with self.pool.acquire() as session:
-                        results = await loop.run_in_executor(
-                            self.executor,
-                            partial(self._dispatch, session, requests, traces),
-                        )
-            else:
-                results = []
-        except asyncio.CancelledError:
-            for item in live:
-                if not item.future.done():
-                    item.future.set_exception(
-                        ServerDrainingError("server stopped mid-batch")
-                    )
-            raise
-        except Exception as error:
-            # Replica died or predict_batch itself raised: every submitter
-            # of the batch gets the error (mapped to a structured 500
-            # upstream) — never a silently dropped future.
-            for item in live:
-                if not item.future.done():
-                    item.future.set_exception(error)
-        else:
-            for item, result in zip(live, results):
-                if item.future.done():
-                    continue
-                if isinstance(result, ConfigurationError):
-                    item.future.set_exception(result)
-                else:
-                    item.future.set_result(result)
-        finally:
-            if traces:
-                # The executor round-trip minus what the worker recorded:
-                # thread handoff + result marshalling, billed once so the
-                # trace's spans sum to the request's dispatch wall time.
-                recorded = traces[0].total() - before
-                residual = (time.perf_counter() - dispatch_start) - recorded
-                if residual > 0:
-                    for trace in traces:
-                        trace.add("dispatch", residual)
-            self.pending -= len(batch)
-            self.batches += 1
-            self.batched_requests += len(live)
-            if live:
-                self._metric_batch_size.observe(len(live))
-            self.max_batch_observed = max(self.max_batch_observed, len(live))
-
-    def stats(self) -> dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "rejected": self.rejected,
-            "expired": self.expired,
-            "batches": self.batches,
-            "pending": self.pending,
-            "mean_batch_size": (
-                round(self.batched_requests / self.batches, 3) if self.batches else 0.0
-            ),
-            "max_batch_size": self.max_batch_observed,
-        }
 
 
 def _existing_bundle(path: Path) -> Path | None:
@@ -1067,13 +645,14 @@ class ServingServer:
     GET       ``/healthz``    → ``{"status": "ok"|"degraded"|"draining",
                               "generation", "n_alive", "queue_depth",
                               "wal_depth", "last_checkpoint_age_s"}``
-    GET       ``/stats``      → server / batcher / pool statistics plus a
-                              full metrics-registry snapshot
+    GET       ``/stats``      → server / pool statistics plus a full
+                              metrics-registry snapshot
     GET       ``/metrics``    → Prometheus text exposition (version 0.0.4)
                               of the process metrics registry
     POST      ``/predict``    ``{"node": 3}`` or ``{"nodes": [...]|null,
                               "output": "labels"|"logits"|"embeddings"}``
-                              → ``{"result", "generation"}`` (coalesced)
+                              → ``{"result", "generation"}`` (the id of
+                              the generation that answered)
     POST      ``/insert``     ``{"features": [[...], ...]}`` → ``{"ids"}``
     POST      ``/update``     ``{"nodes": [...], "features": [[...]]}``
     POST      ``/delete``     ``{"nodes": [...]}`` → ``{"n_alive"}``
@@ -1081,11 +660,11 @@ class ServingServer:
     POST      ``/reassign``   ``{}`` → ``{"moves"}``
     ========  ==============  ====================================================
 
-    Error mapping: invalid request → 400 with ``{"error": ...}`` (scoped to
-    the one request even inside a coalesced batch), queue full → 429,
-    draining or writer quarantined → 503 (the latter with ``Retry-After``),
-    deadline expired → 504, unexpected failure → structured 500 JSON (the
-    connection survives), unknown path → 404.
+    Error mapping: invalid request → 400 with ``{"error": ...}``, more than
+    ``max_queue_depth`` requests in flight → 429, draining or writer
+    quarantined → 503 (the latter with ``Retry-After``), write deadline
+    expired → 504, unexpected failure → structured 500 JSON (the connection
+    survives), unknown path → 404.
 
     Startup is restart-aware: when ``config.checkpoint_path`` names an
     existing bundle, the server loads *it* (the newest published generation)
@@ -1109,7 +688,6 @@ class ServingServer:
             frozen = FrozenModel.load(frozen)
         self.pool = SessionPool(
             frozen,
-            replicas=self.config.replicas,
             cluster_assignment=self.config.cluster_assignment,
             checkpoint_path=self.config.checkpoint_path,
             wal_path=self.config.wal_path,
@@ -1118,20 +696,14 @@ class ServingServer:
             refresh_workers=self.config.refresh_workers,
         )
         self.recovered = self.pool.recover()
-        # One worker per replica plus a dedicated slot for the write path,
-        # so a publish can never deadlock behind a full read fleet.
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.replicas + 1, thread_name_prefix="repro-serve"
-        )
-        self.batcher = MicroBatcher(
-            self.pool,
-            self._executor,
-            window_s=self.config.batch_window_ms / 1000.0,
-            max_batch_size=self.config.max_batch_size,
-            max_queue_depth=self.config.max_queue_depth,
-            timeout_s=self.config.request_timeout_s,
-        )
+        # Writes only (reads are answered on the event loop).  The write lock
+        # serialises them; the second worker lets the write after one that
+        # overran its deadline reach the quarantined pool (503) instead of
+        # queueing behind the still-wedged thread.
+        self._executor = ThreadPoolExecutor(max_workers=2, thread_name_prefix="repro-serve")
         self._write_lock = asyncio.Lock()
+        #: Writes admitted and not yet answered (the 429 cap).
+        self.in_flight = 0
         self._server: asyncio.base_events.Server | None = None
         self._draining = False
         self.connections = 0
@@ -1169,10 +741,11 @@ class ServingServer:
         self._metric_latency = registry.histogram(
             "repro_request_seconds", "End-to-end HTTP request latency", ("route",)
         )
+        self._updaters: dict[tuple[str, int], tuple[Callable, Callable]] = {}
         gauges = {
             "uptime": ("repro_uptime_seconds", "Seconds since server start"),
             "generation": ("repro_generation", "Published generation count"),
-            "queue_depth": ("repro_queue_depth", "Pending predict requests"),
+            "queue_depth": ("repro_queue_depth", "Requests in flight"),
             "wal_depth": ("repro_wal_depth", "Unreplayed records in the journal"),
             "checkpoint_age": (
                 "repro_checkpoint_age_seconds", "Age of the newest checkpoint",
@@ -1232,20 +805,23 @@ class ServingServer:
             "Per-stage serving seconds recorded by --profile",
             ("op",),
         )
+        self._metric_shed = registry.counter(
+            "repro_requests_shed_total", "Requests rejected at admission (HTTP 429)"
+        )
         registry.add_collector(self._collect_metrics)
 
     def _live_telemetry(self) -> dict[str, Any]:
         """The live operational numbers, computed in exactly one place.
 
         ``/healthz``, the metrics collector and the enriched ``/stats`` all
-        consume this dict — they can never disagree about WAL depth, queue
-        depth or checkpoint age again.
+        consume this dict — they can never disagree about WAL depth,
+        requests in flight or checkpoint age again.
         """
         return {
             "uptime_s": round(time.perf_counter() - self._start_clock, 3),
             "generation": self.pool.generation,
             "n_alive": self.pool.writer.n_alive,
-            "queue_depth": self.batcher.pending,
+            "queue_depth": self.in_flight,
             "wal_depth": self.pool.wal.depth if self.pool.wal is not None else None,
             "last_checkpoint_age_s": (
                 round(time.time() - self.pool.last_checkpoint_time, 3)
@@ -1299,13 +875,12 @@ class ServingServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        """Bind the listening socket and start the dispatcher.
+        """Bind the listening socket.
 
         Raises :class:`~repro.errors.ConfigurationError` when called twice.
         """
         if self._server is not None:
             raise ConfigurationError("server is already started")
-        self.batcher.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -1319,12 +894,14 @@ class ServingServer:
     async def shutdown(self) -> None:
         """Graceful drain: reject new work, finish in-flight, close sockets.
 
-        New requests receive 503 the moment draining starts; everything
-        already admitted to the queue (and every in-flight batch) is served
-        before the dispatcher stops, bounded by ``drain_timeout_s``.
+        New requests receive 503 the moment draining starts; every request
+        already admitted is answered first, bounded by ``drain_timeout_s``.
         """
         self._draining = True
-        await self.batcher.stop(drain_timeout_s=self.config.drain_timeout_s)
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.config.drain_timeout_s
+        while self.in_flight and loop.time() < deadline:
+            await asyncio.sleep(0.005)
         if self._server is not None:
             self._server.close()
             with suppress(asyncio.TimeoutError):
@@ -1352,15 +929,10 @@ class ServingServer:
             "connections": self.connections,
             "recovered": self.recovered,
             "telemetry": self._live_telemetry(),
-            "batcher": self.batcher.stats(),
             "pool": self.pool.stats(),
             "metrics": self.registry.snapshot(),
             "config": {
-                "replicas": self.config.replicas,
-                "batch_window_ms": self.config.batch_window_ms,
-                "max_batch_size": self.config.max_batch_size,
                 "max_queue_depth": self.config.max_queue_depth,
-                "request_timeout_s": self.config.request_timeout_s,
                 "write_timeout_s": self.config.write_timeout_s,
                 "wal": self.config.wal_path is not None,
                 "shards": self.config.shards,
@@ -1431,7 +1003,9 @@ class ServingServer:
         finally:
             self.connections -= 1
             writer.close()
-            with suppress(Exception):
+            # Loop teardown may cancel this last wait; the connection is
+            # closing either way, so end the handler quietly.
+            with suppress(Exception, asyncio.CancelledError):
                 await writer.wait_closed()
 
     @staticmethod
@@ -1487,6 +1061,22 @@ class ServingServer:
             payload["failure"] = self.pool.failure
         return payload
 
+    def _request_updaters(
+        self, route: str, status: int
+    ) -> tuple[Callable[[float], None], Callable[[float], None]]:
+        """The request counter and latency updaters of one (route, status).
+
+        Resolved once per pair and kept: label validation would otherwise
+        run twice on every request, a measurable share of an inline read.
+        """
+        updaters = self._updaters.get((route, status))
+        if updaters is None:
+            updaters = self._updaters[(route, status)] = (
+                self._metric_requests.labels(route=route, status=str(status)),
+                self._metric_latency.labels(route=route),
+            )
+        return updaters
+
     async def _serve_request(
         self, method: str, path: str, body: bytes
     ) -> tuple[int, dict | bytes, dict[str, str] | None]:
@@ -1509,9 +1099,15 @@ class ServingServer:
         else:
             status, payload, extra = await self._route(method, path, body)
         duration = time.perf_counter() - start
-        self._metric_requests.inc(route=route, status=str(status))
-        self._metric_latency.observe(duration, route=route)
+        count, latency = self._request_updaters(route, status)
+        count(1.0)
+        latency(duration)
         if trace is not None:
+            # Whatever no stage claimed — routing, JSON decoding, admission —
+            # is parsing; billing it keeps the spans summing to wall time.
+            residual = duration - trace.total()
+            if residual > 0:
+                trace.add("parse", residual)
             slow = self._slow_s is not None and duration >= self._slow_s
             if slow or (
                 self.config.trace_sample_rate > 0
@@ -1548,6 +1144,10 @@ class ServingServer:
                 return 405, {"error": f"unsupported method {method!r}"}, None
             if self._draining:
                 return 503, {"error": "server is draining"}, None
+            if self.in_flight >= self.config.max_queue_depth:
+                self._metric_shed.inc()
+                return 429, {"error": f"server is full: {self.in_flight} requests "
+                                      f"in flight (max_queue_depth)"}, None
             try:
                 payload = json.loads(body.decode() or "{}")
             except (json.JSONDecodeError, UnicodeDecodeError) as error:
@@ -1555,14 +1155,16 @@ class ServingServer:
             if not isinstance(payload, Mapping):
                 return 400, {"error": "request body must be a JSON object"}, None
             if path == "/predict":
-                return await self._route_predict(payload)
+                return self._route_predict(payload)
             if path in ("/insert", "/update", "/delete", "/compact", "/reassign"):
-                return await self._route_write(path, payload)
+                # Only a write awaits, so only writes are ever in flight: a
+                # read is answered before the next request is even parsed.
+                self.in_flight += 1
+                try:
+                    return await self._route_write(path, payload)
+                finally:
+                    self.in_flight -= 1
             return 404, {"error": f"unknown path {path!r}"}, None
-        except ServerOverloadedError as error:
-            return 429, {"error": str(error)}, None
-        except ServerDrainingError as error:
-            return 503, {"error": str(error)}, None
         except WriterQuarantinedError as error:
             return (
                 503,
@@ -1581,43 +1183,29 @@ class ServingServer:
                 None,
             )
 
-    async def _route_predict(
+    def _route_predict(
         self, payload: Mapping[str, Any]
     ) -> tuple[int, dict, dict[str, str] | None]:
+        """Answer one read inline from the current generation.
+
+        Nothing awaits between taking the generation and stamping the
+        response with its id, so the id always names the generation that
+        computed the answer.  A bad request raises
+        :class:`~repro.errors.ConfigurationError` (HTTP 400).
+        """
         if "node" in payload and "nodes" not in payload:
             nodes: Any = payload["node"]
         else:
             nodes = payload.get("nodes")
-        request = {"nodes": nodes, "output": payload.get("output", "labels")}
-        timeout = self.config.request_timeout_s
         trace = current_trace()
-        start = time.perf_counter()
-        before = trace.total() if trace is not None else 0.0
-        try:
-            if timeout is not None:
-                result = await asyncio.wait_for(self.batcher.submit(request), timeout)
-            else:
-                result = await self.batcher.submit(request)
-        except asyncio.TimeoutError:
-            return (
-                504,
-                {"error": f"predict deadline of {timeout}s exceeded",
-                 "timeout_s": timeout},
-                None,
-            )
-        except ConfigurationError as error:
-            return 400, {"error": str(error)}, None
-        if trace is not None:
-            # Submit-to-resume time the batcher could not see: mostly the
-            # event-loop wake-up after the batch resolved this future.
-            residual = (time.perf_counter() - start) - (trace.total() - before)
-            if residual > 0:
-                trace.add("dispatch", residual)
-        return (
-            200,
-            {"result": _jsonable(result), "generation": self.pool.generation},
-            None,
+        start = time.perf_counter() if trace is not None else 0.0
+        generation = self.pool.current
+        result = _jsonable(
+            generation.answer(nodes, output=payload.get("output", "labels"))
         )
+        if trace is not None:
+            trace.add("answer", time.perf_counter() - start)
+        return 200, {"result": result, "generation": generation.id}, None
 
     async def _route_write(
         self, path: str, payload: Mapping[str, Any]
@@ -1646,8 +1234,7 @@ class ServingServer:
             async with self._write_lock:
                 exec_start = time.perf_counter()
                 if trace is not None:
-                    # Writes queue on the single-writer lock the way predicts
-                    # queue in the batcher — bill the wait under the same name.
+                    # Writes queue on the single-writer lock.
                     trace.add("queue_wait", exec_start - lock_start)
                 before = trace.total() if trace is not None else 0.0
                 future = loop.run_in_executor(

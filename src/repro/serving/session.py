@@ -6,8 +6,8 @@ evolves — the **full node lifecycle**:
 
 * **query requests** — logits / labels / embeddings for single nodes or node
   subsets.  The session runs at most one full-batch forward per topology
-  generation and slices every request out of the cached result, so
-  micro-batched requests share one forward pass;
+  generation and freezes it into an immutable :class:`Generation` (labels
+  computed once); every request is a slice of that generation;
 * **feature updates** — moved nodes flow into
   :meth:`IncrementalBackend.update` as an explicit mover mask, so the next
   refresh re-queries only what the movement can have invalidated;
@@ -54,6 +54,7 @@ sessions with diverging node sets (give each session its own
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -101,6 +102,100 @@ def _node_index(nodes: Any, context: str) -> np.ndarray:
     return index.astype(np.int64, copy=False)
 
 
+def _resolve_request(
+    nodes: Any, output: str, alive: np.ndarray, has_embeddings: bool
+) -> tuple[np.ndarray | None, str, bool]:
+    """Validate one query against a node set without computing anything.
+
+    Returns ``(index, output, scalar)`` where ``index`` is ``None`` for a
+    whole-set query and ``scalar`` says whether to unwrap a single row.
+    Raises :class:`~repro.errors.ConfigurationError` for an unknown output,
+    embeddings of a generic module plan, and non-integer, out-of-range or
+    deleted node ids.
+    """
+    if output not in _OUTPUTS:
+        raise ConfigurationError(f"output must be one of {_OUTPUTS}, got {output!r}")
+    if output == "embeddings" and not has_embeddings:
+        raise ConfigurationError("embeddings need a compiled DHGNN/DHGCN plan")
+    if nodes is None:
+        return None, output, False
+    index = _node_index(nodes, "predict")
+    if index.size and (index.min() < 0 or index.max() >= alive.size):
+        raise ConfigurationError(f"node ids must be in [0, {alive.size}), got {nodes!r}")
+    dead = index[~alive[index]]
+    if dead.size:
+        raise ConfigurationError(f"nodes {np.unique(dead).tolist()} have been deleted")
+    return index, output, bool(np.isscalar(nodes) or np.ndim(nodes) == 0)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class Generation:
+    """One published serving state, immutable: every read is a slice of it.
+
+    :meth:`capture` copies what a forward produced — logits, the final
+    layer's input embeddings (``None`` for a generic module plan) and the
+    alive mask — and computes the argmax labels once.  The arrays are
+    private and read-only, and the generation holds no reference to the
+    session that produced it, so nothing the writer does afterwards
+    (overwriting features in place, tombstoning, inserting, compacting) can
+    change an answer.  A reader that holds a generation needs no lock:
+    publishing a new one is a pointer swap (read-copy-update).
+    """
+
+    #: Which forward this is: a session numbers its forwards, a
+    #: :class:`~repro.serving.SessionPool` its publishes.
+    id: int
+    labels: np.ndarray
+    logits: np.ndarray
+    embeddings: np.ndarray | None
+    alive: np.ndarray
+
+    @classmethod
+    def capture(
+        cls,
+        id: int,
+        logits: np.ndarray,
+        embeddings: np.ndarray | None,
+        alive: np.ndarray,
+    ) -> "Generation":
+        """Freeze private read-only copies of one forward's outputs."""
+        return cls(
+            int(id),
+            _read_only(np.argmax(logits, axis=1)),
+            _read_only(np.array(logits)),
+            None if embeddings is None else _read_only(np.array(embeddings)),
+            _read_only(np.array(alive, dtype=bool)),
+        )
+
+    def answer(
+        self, nodes: int | Sequence[int] | None = None, *, output: str = "labels"
+    ) -> np.ndarray:
+        """Predictions for ``nodes`` (``None`` = every alive node, ascending).
+
+        ``output`` selects ``"labels"``, ``"logits"`` or ``"embeddings"``.
+        Raises :class:`~repro.errors.ConfigurationError` for an unknown
+        output and for non-integer, out-of-range or deleted node ids.
+        """
+        index, output, scalar = _resolve_request(
+            nodes, output, self.alive, self.embeddings is not None
+        )
+        if output == "labels":
+            full = self.labels
+        elif output == "logits":
+            full = self.logits
+        else:
+            full = self.embeddings
+        if index is None:
+            return full[self.alive]
+        result = full[index]
+        return result[0] if scalar else result
+
+
 def _clone_incremental(backend: IncrementalBackend) -> IncrementalBackend:
     """Private copy of an incremental backend including its cached states."""
     clone = IncrementalBackend(
@@ -128,7 +223,7 @@ def _private_backend_copy(backend: Any) -> Any:
     return backend
 
 
-def _seeded_private_cache(source: OperatorCache, *, seed: bool = True) -> OperatorCache:
+def _seeded_private_cache(source: OperatorCache) -> OperatorCache:
     """A fresh cache with ``source``'s budgets, seeded with its entries."""
     cache = OperatorCache(
         source.max_entries,
@@ -136,8 +231,7 @@ def _seeded_private_cache(source: OperatorCache, *, seed: bool = True) -> Operat
         max_neighbor_entries=source.max_neighbor_entries,
         enabled=source.enabled,
     )
-    if seed:
-        cache.seed_entries(source.export_entries())
+    cache.seed_entries(source.export_entries())
     return cache
 
 
@@ -214,6 +308,8 @@ class InferenceSession:
         self._stale_outputs = True
         self._layer_inputs: list[np.ndarray] | None = None
         self._logits: np.ndarray | None = None
+        #: The frozen current forward, captured on first use after it ran.
+        self._generation: Generation | None = None
         self._slots = {slot.position: slot for slot in self.plan.slots}
         self._reassign_every: int | None = None
         self._refreshes_since_reassign = 0
@@ -234,10 +330,6 @@ class InferenceSession:
         bundle's shard map.
         """
         return _private_backend_copy(frozen.engine.backend)
-
-    def _clone_backend(self) -> Any:
-        """A private copy of the current backend (used by fork / to_frozen)."""
-        return _private_backend_copy(self.backend)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -283,46 +375,33 @@ class InferenceSession:
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
-    def _validate_request(
-        self, nodes: Any, output: str
-    ) -> tuple[np.ndarray | None, str, bool]:
-        """Validate one query without computing anything.
+    def _validate_request(self, nodes: Any, output: str) -> None:
+        """Reject a bad query against the current node set, computing nothing.
 
-        Returns ``(index, output, scalar)`` where ``index`` is ``None`` for a
-        whole-set query and ``scalar`` says whether to unwrap a single row.
         Validation needs no refresh: the node set and tombstones only change
-        through mutations, never through the refresh itself.
+        through mutations, never through the refresh itself — so a bad
+        request never pays for a pending refresh.
         """
-        if output not in _OUTPUTS:
-            raise ConfigurationError(f"output must be one of {_OUTPUTS}, got {output!r}")
-        if output == "embeddings" and isinstance(self.plan, _ModulePlan):
-            raise ConfigurationError("embeddings need a compiled DHGNN/DHGCN plan")
-        if nodes is None:
-            return None, output, False
-        index = _node_index(nodes, "predict")
-        if index.size and (index.min() < 0 or index.max() >= self.n_nodes):
-            raise ConfigurationError(
-                f"node ids must be in [0, {self.n_nodes}), got {nodes!r}"
-            )
-        dead = index[self._deleted[index]]
-        if dead.size:
-            raise ConfigurationError(
-                f"nodes {np.unique(dead).tolist()} have been deleted"
-            )
-        return index, output, bool(np.isscalar(nodes) or np.ndim(nodes) == 0)
+        _resolve_request(
+            nodes, output, ~self._deleted, not isinstance(self.plan, _ModulePlan)
+        )
 
-    def _answer(self, index: np.ndarray | None, output: str, scalar: bool) -> np.ndarray:
-        """Slice one validated request out of the cached forward."""
-        if output == "embeddings":
-            full = self._layer_inputs[-1]
-        elif output == "logits":
-            full = self._logits
-        else:
-            full = np.argmax(self._logits, axis=1)
-        if index is None:
-            return full[~self._deleted]
-        result = full[index]
-        return result[0] if scalar else result
+    def generation(self) -> Generation:
+        """The immutable :class:`Generation` of the current state.
+
+        Runs the pending scoped refresh (or plain forward) first, then
+        freezes it once; until the next mutation every call returns the same
+        object.  :class:`~repro.serving.SessionPool` publishes exactly this.
+        """
+        self._ensure_fresh()
+        if self._generation is None:
+            embeddings = (
+                None if isinstance(self.plan, _ModulePlan) else self._layer_inputs[-1]
+            )
+            self._generation = Generation.capture(
+                self.forwards, self._logits, embeddings, ~self._deleted
+            )
+        return self._generation
 
     def predict(
         self, nodes: int | Sequence[int] | None = None, *, output: str = "labels"
@@ -331,13 +410,13 @@ class InferenceSession:
 
         ``output`` selects ``"labels"`` (argmax class ids), ``"logits"`` or
         ``"embeddings"`` (the final layer's input representation).  Requests
-        between mutations share one cached full-batch forward.  Deleted and
+        between mutations are slices of one :class:`Generation`.  Deleted and
         non-integer node ids raise :class:`~repro.errors.ConfigurationError`;
         with ``None`` the rows follow :attr:`alive_ids` order.
         """
-        request = self._validate_request(nodes, output)
-        self._ensure_fresh()
-        return self._answer(*request)
+        if self._stale_outputs:
+            self._validate_request(nodes, output)
+        return self.generation().answer(nodes, output=output)
 
     @staticmethod
     def _parse_request(request: Mapping[str, Any] | Sequence[int] | None) -> tuple[Any, str]:
@@ -352,7 +431,7 @@ class InferenceSession:
         *,
         on_error: str = "raise",
     ) -> list[np.ndarray | ConfigurationError]:
-        """Micro-batched requests: one forward pass serves every entry.
+        """Several requests answered from one :class:`Generation`.
 
         Each request is either a node subset (sequence / ``None`` for all) or
         a mapping ``{"nodes": ..., "output": ...}``.  Every request is
@@ -362,27 +441,28 @@ class InferenceSession:
         the first invalid request raises; with ``on_error="return"`` the
         result list carries the :class:`~repro.errors.ConfigurationError`
         itself at that request's position while every valid entry is still
-        answered — a serving front-end maps one bad client request to one
-        error response instead of failing the coalesced batch.
+        answered.
         """
         if on_error not in ("raise", "return"):
             raise ConfigurationError(
                 f"on_error must be 'raise' or 'return', got {on_error!r}"
             )
-        parsed: list[tuple[np.ndarray | None, str, bool] | ConfigurationError] = []
-        for request in requests:
-            nodes, output = self._parse_request(request)
+        parsed = [self._parse_request(request) for request in requests]
+        errors: list[ConfigurationError | None] = []
+        for nodes, output in parsed:
             try:
-                parsed.append(self._validate_request(nodes, output))
+                self._validate_request(nodes, output)
+                errors.append(None)
             except ConfigurationError as error:
                 if on_error == "raise":
                     raise
-                parsed.append(error)
-        if any(not isinstance(entry, ConfigurationError) for entry in parsed):
-            self._ensure_fresh()
+                errors.append(error)
+        if all(errors):
+            return errors
+        generation = self.generation()
         return [
-            entry if isinstance(entry, ConfigurationError) else self._answer(*entry)
-            for entry in parsed
+            generation.answer(nodes, output=output) if error is None else error
+            for (nodes, output), error in zip(parsed, errors)
         ]
 
     # ------------------------------------------------------------------ #
@@ -666,7 +746,7 @@ class InferenceSession:
                 "cannot be bundled"
             )
         self._ensure_fresh()
-        backend = self._clone_backend()
+        backend = _private_backend_copy(self.backend)
         # The snapshot owns its cache: the session keeps churning (and
         # evicting) its own, which must not age the frozen copy's entries.
         engine = TopologyRefreshEngine(
@@ -681,68 +761,6 @@ class InferenceSession:
             engine=engine,
             meta=dict(self.frozen.meta),
         )
-
-    def fork(self, *, seed_cache: bool = True) -> "InferenceSession":
-        """An independent copy of the session's **current** serving state.
-
-        Unlike ``InferenceSession(self.to_frozen())`` this works mid-lifecycle
-        — tombstones, pending movers and the cached forward all carry over —
-        and costs one feature-matrix copy plus a plan clone (the refreshed
-        CSR operators and weights are immutable and stay shared).  A freshly
-        refreshed parent therefore forks replicas that answer immediately,
-        without re-running a forward: the session-pool fan-out a serving
-        front-end performs after every write.  The fork follows the same
-        isolation contract as constructing a session: private plan slots,
-        feature matrix, tombstone state, refresh engine and (for the built-in
-        incremental and sharded backends) neighbour state; custom backend
-        instances pass through shared.  With ``seed_cache=False`` the fork starts with an
-        empty operator cache (same budgets) — useful when a pool fans the
-        current operators out explicitly through an
-        :class:`~repro.serving.OperatorStore` instead of inheriting the whole
-        cache history.  Counters (``forwards``/``refreshes``/...) restart at
-        zero.
-        """
-        clone = type(self).__new__(type(self))
-        clone.cluster_assignment = self.cluster_assignment
-        clone.frozen = self.frozen
-        clone.plan = self.plan.clone()
-        backend = self._clone_backend()
-        clone.engine = TopologyRefreshEngine(
-            cache=_seeded_private_cache(self.engine.cache, seed=seed_cache),
-            block_size=self.engine.block_size,
-            backend=backend,
-        )
-        clone.backend = backend
-        clone._features = self._features.copy()
-        clone._moved = self._moved.copy()
-        clone._deleted = self._deleted.copy()
-        clone._state_ids = self._state_ids.copy()
-        clone._inserted = self._inserted
-        clone._deleted_version = self._deleted_version
-        clone._mask_memo = dict(self._mask_memo)
-        clone._masked_static = self._masked_static
-        clone._stale_topology = self._stale_topology
-        clone._stale_outputs = self._stale_outputs
-        if self._layer_inputs is None:
-            clone._layer_inputs = None
-        else:
-            # Layer 0's input aliases the parent's feature matrix, which the
-            # parent keeps mutating in place — re-point it at the copy.
-            clone._layer_inputs = [
-                clone._features if array is self._features else array
-                for array in self._layer_inputs
-            ]
-        clone._logits = self._logits
-        clone._slots = {slot.position: slot for slot in clone.plan.slots}
-        clone._reassign_every = self._reassign_every
-        clone._refreshes_since_reassign = self._refreshes_since_reassign
-        clone._reassign_pending = self._reassign_pending
-        clone._reassign_moves = self._reassign_moves
-        clone.forwards = 0
-        clone.refreshes = 0
-        clone.compactions = 0
-        clone.reassignments = 0
-        return clone
 
     # ------------------------------------------------------------------ #
     # Refresh pipeline
@@ -767,6 +785,7 @@ class InferenceSession:
         elif self._stale_outputs:
             with span("forward"):
                 self._layer_inputs, self._logits = self.plan.run(self._features)
+            self._generation = None
             self.forwards += 1
             self._stale_outputs = False
 
@@ -799,6 +818,7 @@ class InferenceSession:
                 hidden = plan.apply_layer(position, hidden)
         self._layer_inputs = layer_inputs
         self._logits = hidden
+        self._generation = None
         self._moved[:] = False
         self._inserted = 0
         self._state_ids = alive
@@ -1076,8 +1096,6 @@ class ShardedSession(InferenceSession):
       unchanged by partition-independence.
     * :meth:`to_frozen` persists the current shard map into the snapshot's
       ``meta["shard_map"]``, so a bundle round-trip stays sharded.
-    * :meth:`fork` clones the per-shard state (replica fan-out works exactly
-      as for the incremental backend).
 
     Parameters
     ----------
@@ -1179,11 +1197,6 @@ class ShardedSession(InferenceSession):
         if isinstance(self.backend, ShardedBackend) and self.backend.shard_map is not None:
             frozen.meta["shard_map"] = self.backend.shard_map.to_meta()
         return frozen
-
-    def fork(self, *, seed_cache: bool = True) -> "ShardedSession":
-        clone = super().fork(seed_cache=seed_cache)
-        clone._shard_spec = self._shard_spec
-        return clone
 
     def close(self) -> None:
         """Release the backend's process pool (no-op when rebuilds are serial)."""

@@ -169,8 +169,8 @@ class OperatorStore:
         in the destination directory and :func:`os.replace`\\ d into place, so
         a crash (or kill) mid-write can never leave a truncated, unloadable
         bundle at ``path`` — readers see either the previous complete archive
-        or the new one.  Serving replicas that warm-start from a bundle a
-        writer process republishes depend on this.
+        or the new one.  A server that warm-starts from the checkpoint a
+        writer process keeps republishing depends on this.
         """
         path = Path(path)
         if path.suffix != ".npz":

@@ -15,11 +15,8 @@ The load-bearing guarantees pinned here:
   ``GET /metrics`` scrape is checked line-by-line against the grammar;
 * traces propagate per-stage spans through the whole serving path: one
   traced request's structured log line carries individually-nonzero span
-  timings that sum to within 10% of the end-to-end latency;
-* the batcher deadline covers queue time (an admitted request that sat
-  queued past its deadline is expired *without* being evaluated) and a
-  request abandoned by an upstream ``wait_for`` is dropped at dispatch —
-  the enqueue-timestamp bugfix;
+  timings that sum to within 10% of the end-to-end latency (a read splits
+  into exactly ``parse`` + ``answer``);
 * crash recovery on a fresh registry preserves ``recovered_mutations``
   while request counters start from zero (the chaos-marker test).
 
@@ -34,7 +31,6 @@ import logging
 import re
 import threading
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -62,7 +58,6 @@ from repro.obs import (
     use_registry,
 )
 from repro.serving.server import (
-    MicroBatcher,
     ServerConfig,
     ServingServer,
     SessionPool,
@@ -133,6 +128,27 @@ class TestCounter:
         for thread in threads:
             thread.join()
         assert counter.value() == float(n_threads * n_incs)
+
+    def test_labels_binds_one_child(self):
+        # The hot-path form: resolve the label key once, then update by call.
+        registry = MetricsRegistry()
+        counter = registry.counter("bound_total", labelnames=("route", "status"))
+        bump = counter.labels(route="/a", status=200)
+        bump(2.0)
+        counter.inc(route="/a", status="200")
+        assert counter.value(route="/a", status="200") == 3.0
+        with pytest.raises(ConfigurationError, match="cannot decrease"):
+            bump(-1.0)
+        with pytest.raises(ConfigurationError, match="takes labels"):
+            counter.labels(route="/a")
+        with pytest.raises(ConfigurationError, match="takes labels"):
+            counter.inc(route="/a", path="/b")
+        hist = registry.histogram("bound_seconds", labelnames=("route",), buckets=(1.0,))
+        hist.labels(route="/a")(0.5)
+        assert hist.count(route="/a") == 1
+        off = MetricsRegistry(enabled=False).counter("off_total", labelnames=("route",))
+        off.labels(route="/a")(1.0)
+        assert off.value(route="/a") == 0.0
 
     def test_kind_and_label_mismatch_raise(self):
         registry = MetricsRegistry()
@@ -360,65 +376,6 @@ class TestTracing:
 
 
 # --------------------------------------------------------------------------- #
-# MicroBatcher deadline bugfix: queue time counts, cancelled requests drop
-# --------------------------------------------------------------------------- #
-class TestBatcherDeadlines:
-    def _batcher(self, bundle_path, **kwargs):
-        pool = SessionPool(FrozenModel.load(bundle_path), replicas=1)
-        executor = ThreadPoolExecutor(max_workers=2)
-        kwargs.setdefault("window_s", 0.0)
-        kwargs.setdefault("max_batch_size", 64)
-        kwargs.setdefault("max_queue_depth", 128)
-        return pool, executor, MicroBatcher(pool, executor, **kwargs)
-
-    def test_deadline_covers_queue_time(self, bundle_path):
-        # The request is admitted, then sits queued past its deadline before
-        # the dispatcher ever runs: it must expire un-evaluated instead of
-        # restarting its clock at dispatch.
-        pool, executor, batcher = self._batcher(bundle_path, timeout_s=0.05)
-
-        async def scenario():
-            submission = asyncio.ensure_future(batcher.submit({"nodes": [0]}))
-            await asyncio.sleep(0.15)  # over the deadline, dispatcher not yet started
-            batcher.start()
-            with pytest.raises(asyncio.TimeoutError, match="queued"):
-                await submission
-            await batcher.stop()
-
-        asyncio.run(scenario())
-        assert batcher.stats()["expired"] == 1
-        assert batcher.stats()["pending"] == 0
-        executor.shutdown()
-
-    def test_cancelled_request_is_dropped_at_dispatch(self, bundle_path):
-        # An upstream wait_for cancels the submit coroutine; the future must
-        # be marked cancelled so the dispatcher skips it, and its batch-mate
-        # still gets a real answer.
-        pool, executor, batcher = self._batcher(bundle_path, window_s=0.05)
-        direct = InferenceSession(FrozenModel.load(bundle_path))
-
-        async def scenario():
-            batcher.start()
-            abandoned = asyncio.ensure_future(batcher.submit({"nodes": [1]}))
-            survivor = asyncio.ensure_future(
-                batcher.submit({"nodes": [2], "output": "logits"})
-            )
-            await asyncio.sleep(0.005)  # both admitted, window still open
-            abandoned.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await abandoned
-            result = await survivor
-            await batcher.stop()
-            return result
-
-        result = asyncio.run(scenario())
-        assert np.array_equal(result, direct.predict([2], output="logits"))
-        assert batcher.stats()["expired"] == 1  # the abandoned request
-        assert batcher.stats()["pending"] == 0
-        executor.shutdown()
-
-
-# --------------------------------------------------------------------------- #
 # HTTP plane: /healthz fields, /metrics exposition, /stats, trace logs
 # --------------------------------------------------------------------------- #
 async def _http_raw(reader, writer, method, path, payload=None):
@@ -469,8 +426,6 @@ class _Client:
 def _serve(bundle_path, scenario, **config_kwargs):
     """Run ``scenario(server)`` against a live server on a fresh registry."""
     config_kwargs.setdefault("port", 0)
-    config_kwargs.setdefault("replicas", 1)
-    config_kwargs.setdefault("batch_window_ms", 2.0)
 
     async def run():
         server = ServingServer(
@@ -548,8 +503,6 @@ class TestServerTelemetry:
         for family in (
             "repro_requests_total",
             "repro_request_seconds",
-            "repro_batch_size",
-            "repro_queue_wait_seconds",
             "repro_queue_depth",
             "repro_mutations_total",
             "repro_wal_append_seconds",
@@ -560,7 +513,7 @@ class TestServerTelemetry:
             "repro_generation",
             "repro_operator_cache_hits_total",
             "repro_neighbor_memo_hits_total",
-            "repro_replica_acquire_total",
+            "repro_publish_seconds",
         ):
             assert family in families, f"missing family {family}"
         # Histogram invariant: _count equals the +Inf cumulative bucket.
@@ -584,7 +537,7 @@ class TestServerTelemetry:
         assert stats["telemetry"]["generation"] >= 1
         assert stats["metrics"]["counters"]["repro_requests_total"]["values"]
         assert stats["config"]["trace_sample_rate"] == 0.5
-        assert "expired" in stats["batcher"]
+        assert stats["pool"]["generation"] == stats["telemetry"]["generation"]
 
     def test_traced_request_spans_sum_to_e2e_within_ten_percent(
         self, tiny_citation_dataset, bundle_path, tmp_path
@@ -607,8 +560,6 @@ class TestServerTelemetry:
                 return await client.request("POST", "/predict", {"node": node})
 
         async def scenario(server):
-            # Concurrent predicts on separate connections so the batcher
-            # coalesces them and the queue/assembly spans measure real waits.
             results = await asyncio.gather(
                 *[one_predict(server.port, node) for node in range(4)]
             )
@@ -644,11 +595,10 @@ class TestServerTelemetry:
             assert spans and all(value >= 0.0 for value in spans.values())
             coverage = sum(spans.values()) / record["duration_ms"]
             assert 0.9 <= coverage <= 1.05, (record["route"], spans, coverage)
-        # The read path decomposes into queue/batch/acquire/dispatch...
-        best = max(predicts, key=lambda r: min(r["spans_ms"].values()))
-        for name in ("queue_wait", "batch_assembly", "replica_acquire", "dispatch"):
-            assert best["spans_ms"].get(name, 0.0) > 0.0, (name, best["spans_ms"])
-        assert best["batch_size"] >= 1
+        # A read is parsed, then answered from the current generation...
+        for record in predicts:
+            assert set(record["spans_ms"]) == {"parse", "answer"}, record["spans_ms"]
+            assert record["spans_ms"]["answer"] > 0.0, record["spans_ms"]
         # ...and the write path surfaces the durability and topology stages
         # (insert journals, re-queries k-NN, refreshes operators, forwards).
         insert_spans = inserts[0]["spans_ms"]
@@ -689,7 +639,6 @@ def test_recovery_preserves_recovered_mutations_on_a_fresh_registry(
     with use_registry(MetricsRegistry()):
         pool = SessionPool(
             FrozenModel.load(bundle_path),
-            replicas=1,
             checkpoint_path=tmp_path / "ckpt.npz",
             wal_path=tmp_path / "mut.wal",
         )
@@ -706,7 +655,6 @@ def test_recovery_preserves_recovered_mutations_on_a_fresh_registry(
             str(bundle_path),
             ServerConfig(
                 port=0,
-                replicas=1,
                 checkpoint_path=tmp_path / "ckpt.npz",
                 wal_path=tmp_path / "mut.wal",
             ),
@@ -766,7 +714,8 @@ class TestStatsCLI:
         code, text, raw_code, raw = _serve(bundle_path, scenario)
         assert code == 0
         assert "server (ok)" in text
-        assert "batcher" in text and "latency (seconds)" in text
+        assert "pool" in text and "latency (seconds)" in text
+        assert "batcher" not in text and "replica" not in text
         assert "repro_request_seconds" in text
         assert raw_code == 0
         payload = json.loads(raw)

@@ -15,13 +15,11 @@ The load-bearing guarantees pinned here:
   sequence is killed (``os._exit``, the ``kill -9`` analogue) at that
   point, and recovery from checkpoint + WAL reconstructs the exact prefix
   state — then finishes the sequence to the exact final state;
-* failure containment in the HTTP front-end: deadline-expired requests
-  answer 504 within ~2x the budget, a writer failure quarantines the pool
+* failure containment in the HTTP front-end: a deadline-expired write
+  answers 504 and degrades the pool, a writer failure quarantines the pool
   (writes 503 + ``Retry-After`` while reads keep serving, ``/healthz``
-  reports ``degraded``), an unexpected batch failure resolves every
-  batch-mate with a structured 500 (no leaked futures, connection
-  survives), and shutdown fails still-queued futures instead of leaking
-  them.
+  reports ``degraded``), and an unexpected read failure answers a
+  structured 500 while the connection survives.
 
 Chaos-marked tests (``pytest -m chaos``) spawn subprocesses; the
 ``REPRO_CHAOS_QUICK=1`` environment switch shrinks the crash matrix to one
@@ -54,7 +52,6 @@ from repro.serving import (
     clear_faults,
     fault_registry,
 )
-from repro.serving.server import MicroBatcher, ServerDrainingError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC_DIR = REPO_ROOT / "src"
@@ -167,7 +164,6 @@ class TestFaultRegistry:
             "session.mid_mutation",
             "pool.mid_apply",
             "pool.after_checkpoint",
-            "batcher.before_dispatch",
         ):
             assert expected in points
 
@@ -225,7 +221,6 @@ def _new_rows(n_rows, n_cols, seed):
 
 
 def _pool(bundle_path, tmp_path, *, wal=True, checkpoint=True, **kwargs):
-    kwargs.setdefault("replicas", 1)
     return SessionPool(
         FrozenModel.load(bundle_path),
         checkpoint_path=tmp_path / "ckpt.npz" if checkpoint else None,
@@ -264,7 +259,6 @@ class TestPoolWAL:
         # ServingServer does) and replay the WAL suffix on top of it.
         recovered = SessionPool(
             FrozenModel.load(tmp_path / "ckpt.npz"),
-            replicas=1,
             checkpoint_path=tmp_path / "ckpt.npz",
             wal_path=tmp_path / "mut.wal",
         )
@@ -285,7 +279,7 @@ class TestPoolWAL:
         snapshot = pool.writer.to_frozen()
         snapshot.meta["wal_seq"] = pool.last_seq
         recovered = SessionPool(
-            snapshot, replicas=1, wal_path=tmp_path / "mut.wal"
+            snapshot, wal_path=tmp_path / "mut.wal"
         )
         assert recovered.recover() == 0  # every record deduped by seq
         assert recovered.last_seq == pool.last_seq
@@ -301,8 +295,7 @@ class TestPoolWAL:
         pool.insert(_new_rows(2, n_cols, seed=4))
         reference = pool.writer.predict(output="logits").copy()
         recovered = SessionPool(
-            FrozenModel.load(bundle_path), replicas=1,
-            wal_path=tmp_path / "mut.wal",
+            FrozenModel.load(bundle_path), wal_path=tmp_path / "mut.wal",
         )
         assert recovered.recover() == 1  # the insert; the bad delete skipped
         assert recovered.last_seq == pool.last_seq
@@ -315,8 +308,7 @@ class TestPoolWAL:
         n_cols = pool.writer.features.shape[1]
         pool.insert(_new_rows(1, n_cols, seed=5))
         stale = SessionPool(
-            FrozenModel.load(bundle_path), replicas=1,
-            wal_path=tmp_path / "mut.wal",
+            FrozenModel.load(bundle_path), wal_path=tmp_path / "mut.wal",
         )
         with pytest.raises(ConfigurationError, match="recover"):
             stale.insert(_new_rows(1, n_cols, seed=6))
@@ -326,7 +318,7 @@ class TestPoolWAL:
     ):
         pool = _pool(bundle_path, tmp_path)
         n_cols = pool.writer.features.shape[1]
-        baseline = asyncio.run(self._read_logits(pool))
+        baseline = pool.current.answer(output="logits")
         fault_registry().set("pool.mid_apply", "raise")
         with pytest.raises(FaultInjected):
             pool.insert(_new_rows(1, n_cols, seed=7))
@@ -336,7 +328,7 @@ class TestPoolWAL:
             pool.insert(_new_rows(1, n_cols, seed=8))
         # Readers still serve the last *published* generation, bit-identically.
         clear_faults()
-        assert np.array_equal(asyncio.run(self._read_logits(pool)), baseline)
+        assert np.array_equal(pool.current.answer(output="logits"), baseline)
 
     def test_validation_errors_do_not_quarantine(self, bundle_path, tmp_path):
         pool = _pool(bundle_path, tmp_path)
@@ -345,11 +337,6 @@ class TestPoolWAL:
         with pytest.raises(ConfigurationError):
             pool.insert([[1.0, 2.0], [3.0]])  # ragged: rejected pre-journal
         assert not pool.read_only and pool.status == "ok"
-
-    @staticmethod
-    async def _read_logits(pool):
-        async with pool.acquire() as session:
-            return session.predict(output="logits").copy()
 
 
 # --------------------------------------------------------------------------- #
@@ -397,8 +384,7 @@ from test_serving_faults import N_CHAOS_OPS, _apply_scripted_op
 ckpt = Path(os.environ["CHAOS_CKPT"])
 bundle = os.environ["CHAOS_BUNDLE"]
 frozen = FrozenModel.load(ckpt if ckpt.exists() else bundle)
-pool = SessionPool(frozen, replicas=1, checkpoint_path=ckpt,
-                   wal_path=os.environ["CHAOS_WAL"])
+pool = SessionPool(frozen, checkpoint_path=ckpt, wal_path=os.environ["CHAOS_WAL"])
 pool.recover()
 for k in range(pool.last_seq, N_CHAOS_OPS):
     _apply_scripted_op(pool, k)
@@ -408,7 +394,6 @@ print("COMPLETED", pool.last_seq)
 
 def _chaos_points():
     points = sorted(fault_registry().points())
-    points.remove("batcher.before_dispatch")  # read path: no WAL involvement
     if os.environ.get("REPRO_CHAOS_QUICK"):
         # One representative point per module keeps the quick matrix honest.
         keep: dict[str, str] = {}
@@ -421,7 +406,7 @@ def _chaos_points():
 @pytest.fixture(scope="module")
 def chaos_reference(bundle_path):
     """Logits after every prefix of the chaos script, from an uncrashed run."""
-    pool = SessionPool(FrozenModel.load(bundle_path), replicas=1)
+    pool = SessionPool(FrozenModel.load(bundle_path))
     prefixes = [pool.writer.predict(output="logits").copy()]
     for k in range(N_CHAOS_OPS):
         _apply_scripted_op(pool, k)
@@ -467,9 +452,7 @@ def test_crash_recovery_matrix(point, bundle_path, chaos_reference, tmp_path):
     # Recover exactly as a restarted server would: prefer the checkpoint,
     # replay the WAL suffix on top of it.
     frozen = FrozenModel.load(ckpt if ckpt.exists() else bundle_path)
-    pool = SessionPool(
-        frozen, replicas=1, checkpoint_path=ckpt, wal_path=wal
-    )
+    pool = SessionPool(frozen, checkpoint_path=ckpt, wal_path=wal)
     pool.recover()
     assert not pool.read_only, pool.failure
     assert 0 <= pool.last_seq <= N_CHAOS_OPS
@@ -500,7 +483,7 @@ shards = int(os.environ["CHAOS_SHARDS"])
 ckpt = Path(os.environ["CHAOS_CKPT"])
 frozen = FrozenModel.load(ckpt if ckpt.exists() else os.environ["CHAOS_BUNDLE"])
 kwargs = {"shards": shards} if shards else {}
-pool = SessionPool(frozen, replicas=1, checkpoint_path=ckpt,
+pool = SessionPool(frozen, checkpoint_path=ckpt,
                    wal_path=os.environ["CHAOS_WAL"], **kwargs)
 pool.recover()
 
@@ -544,7 +527,7 @@ def test_crash_between_compact_and_wal_truncate(point, shards, bundle_path, tmp_
         return np.random.default_rng(seed).normal(size=(n, n_cols))
 
     # Uncrashed, unsharded reference for every state the recovery must hit.
-    reference = SessionPool(FrozenModel.load(bundle_path), replicas=1)
+    reference = SessionPool(FrozenModel.load(bundle_path))
     n_cols = reference.writer.features.shape[1]
     reference.delete([3, 11])
     reference.update([7], rows(71, 1, n_cols))
@@ -571,7 +554,7 @@ def test_crash_between_compact_and_wal_truncate(point, shards, bundle_path, tmp_
     assert ckpt.exists()  # at least the init checkpoint always lands
 
     recovered = SessionPool(
-        FrozenModel.load(ckpt), replicas=1, checkpoint_path=ckpt, wal_path=wal
+        FrozenModel.load(ckpt), checkpoint_path=ckpt, wal_path=wal
     )
     # The shard map rides the checkpoint meta: no shards= argument here, yet
     # the recovered writer is sharded exactly when the crashed one was.
@@ -640,8 +623,6 @@ class _Client:
 
 def _serve(bundle_path, scenario, **config_kwargs):
     config_kwargs.setdefault("port", 0)
-    config_kwargs.setdefault("replicas", 1)
-    config_kwargs.setdefault("batch_window_ms", 2.0)
 
     async def run():
         server = ServingServer(
@@ -660,29 +641,6 @@ def _serve(bundle_path, scenario, **config_kwargs):
 
 
 class TestDeadlines:
-    def test_predict_deadline_answers_504_within_twice_the_budget(
-        self, bundle_path
-    ):
-        budget = 0.25
-        fault_registry().set("batcher.before_dispatch", "delay:2.0")
-
-        async def scenario(server):
-            async with _Client(server.port) as client:
-                started = time.perf_counter()
-                status, payload, _ = await client.request(
-                    "POST", "/predict", {"node": 3}
-                )
-                elapsed = time.perf_counter() - started
-            return status, payload, elapsed
-
-        status, payload, elapsed = _serve(
-            bundle_path, scenario,
-            request_timeout_s=budget, drain_timeout_s=0.1,
-        )
-        assert status == 504
-        assert payload["timeout_s"] == budget
-        assert elapsed < 2 * budget + 0.2, f"504 took {elapsed:.3f}s"
-
     def test_write_deadline_answers_504_and_degrades(self, bundle_path):
         fault_registry().set("pool.mid_apply", "delay:2.0")
 
@@ -752,51 +710,25 @@ class TestDegradedMode:
         assert stats["status"] == "degraded"
         assert stats["pool"]["failure"] is not None
 
-    def test_batch_failure_resolves_every_batchmate_with_structured_500(
-        self, bundle_path
-    ):
-        fault_registry().set("batcher.before_dispatch", "raise")
+    def test_read_failure_answers_structured_500(self, bundle_path, monkeypatch):
+        from repro.serving import Generation
+
+        def unreadable(self, nodes=None, *, output="labels"):
+            raise RuntimeError("generation unreadable")
 
         async def scenario(server):
-            async with _Client(server.port) as a, _Client(server.port) as b, \
-                    _Client(server.port) as c:
-                results = await asyncio.gather(
-                    a.request("POST", "/predict", {"node": 1}),
-                    b.request("POST", "/predict", {"node": 2}),
-                    c.request("POST", "/predict", {"node": 3}),
-                )
-                clear_faults()
-                # The connections survived the failed batch.
-                recovered = await a.request("POST", "/predict", {"node": 1})
-            return results, recovered
+            async with _Client(server.port) as client:
+                with monkeypatch.context() as patch:
+                    patch.setattr(Generation, "answer", unreadable)
+                    failed = await client.request("POST", "/predict", {"node": 1})
+                # Same connection, next request: served normally.
+                recovered = await client.request("POST", "/predict", {"node": 1})
+            return failed, recovered
 
-        results, recovered = _serve(
-            bundle_path, scenario, batch_window_ms=30.0
-        )
-        for status, body, _ in results:
-            assert status == 500
-            assert body["type"] == "FaultInjected"
-            assert "injected fault" in body["error"]
+        (status, body, _), recovered = _serve(bundle_path, scenario)
+        assert status == 500 and body["type"] == "RuntimeError"
+        assert "generation unreadable" in body["error"]
         assert recovered[0] == 200
-
-    def test_draining_health_and_queued_future_resolution(self, bundle_path):
-        async def scenario(server):
-            # A huge window parks the dispatcher mid-collection with one
-            # future in the half-built batch; shutdown must fail it rather
-            # than leak it.
-            server.batcher.window_s = 30.0
-            submission = asyncio.ensure_future(
-                server.batcher.submit({"nodes": [1], "output": "labels"})
-            )
-            await asyncio.sleep(0.05)
-            await server.batcher.stop(drain_timeout_s=0.1)
-            with pytest.raises(ServerDrainingError):
-                await submission
-            return server.status
-
-        status = _serve(bundle_path, scenario, drain_timeout_s=0.1)
-        # shutdown() ran in _serve's finally: the state machine reports it.
-        assert status in ("ok", "draining")
 
     def test_healthz_reports_wal_and_checkpoint_state(self, bundle_path, tmp_path):
         async def scenario(server):
@@ -870,7 +802,7 @@ def test_cli_serve_survives_kill_dash_nine(bundle_path, tmp_path):
     argv = [
         sys.executable, "-m", "repro.cli", "serve",
         "--bundle", str(bundle_path), "--port", "0",
-        "--replicas", "1", "--checkpoint", str(ckpt), "--wal", str(wal),
+        "--checkpoint", str(ckpt), "--wal", str(wal),
     ]
 
     def start():

@@ -1,22 +1,20 @@
-"""Tests of the batched async serving front-end (``repro.serving.server``).
+"""Tests of the asyncio serving front-end (``repro.serving.server``).
 
 The load-bearing guarantees pinned here:
 
-* :meth:`InferenceSession.fork` replicas are **bit-identical** to their
-  parent and fully isolated from it (and from each other) afterwards;
-* a :class:`SessionPool`'s reader fleet stays bit-identical to a fresh
-  ``to_frozen()`` snapshot of its generation — before, during and after an
-  operator fan-out swap while the writer mutates, including when readers
-  run concurrently with the writer on worker threads;
-* the :class:`MicroBatcher` coalesces concurrent requests within the batch
-  window into one ``predict_batch`` dispatch, degrades to per-request
-  dispatch at window 0, maps per-request validation errors to the one
-  offending submitter, and sheds load (:class:`ServerOverloadedError`)
-  once ``max_queue_depth`` requests are pending;
+* a :class:`Generation` answers exactly like the session that produced it,
+  owns read-only copies of its arrays, and is untouched by everything the
+  writer does afterwards (in-place feature overwrites, tombstones,
+  inserts, republishes);
+* a :class:`SessionPool`'s published generation stays bit-identical to a
+  fresh ``to_frozen()`` snapshot of its state — before and after a swap,
+  and while readers on other threads keep reading as the writer mutates;
 * the HTTP front-end: every route round-trips JSON, responses are
   bit-identical to a direct session on the same bundle, writes are
-  read-your-writes (a client sees its own insert immediately), draining
-  returns 503, and bad requests map to 400 without failing their batch;
+  read-your-writes (a client sees its own insert immediately), every read
+  answer matches the generation its response is stamped with, draining
+  returns 503, too many requests in flight return 429, and bad requests
+  map to 400 without failing their neighbours;
 * ``repro.cli serve`` boots a real server process that answers HTTP.
 
 No pytest-asyncio here: each async scenario runs under ``asyncio.run``
@@ -30,6 +28,7 @@ import re
 import socket
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -38,37 +37,52 @@ import pytest
 
 from repro import (
     DHGNN,
+    HGNN,
     FrozenModel,
     InferenceSession,
     TrainConfig,
     Trainer,
     reset_default_engine,
 )
+from repro.cli import build_parser
 from repro.errors import ConfigurationError
+from repro.serving import Generation
 from repro.serving.server import (
-    MicroBatcher,
     ServerConfig,
-    ServerOverloadedError,
     ServingServer,
     SessionPool,
 )
 
 
-@pytest.fixture(scope="module")
-def bundle_path(tiny_citation_dataset, tmp_path_factory):
-    """One trained DHGNN bundle shared by every test in this module."""
+def _train_bundle(dataset, path, **model_kwargs):
     reset_default_engine()
-    dataset = tiny_citation_dataset
-    model = DHGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
+    model = DHGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0, **model_kwargs)
     trainer = Trainer(
         model,
         dataset,
         TrainConfig(epochs=4, patience=None, neighbor_backend="incremental"),
     )
     trainer.train()
-    path = tmp_path_factory.mktemp("serving_server") / "bundle.npz"
     trainer.export_frozen(str(path))
     return path
+
+
+@pytest.fixture(scope="module")
+def bundle_path(tiny_citation_dataset, tmp_path_factory):
+    """One trained DHGNN bundle shared by every test in this module."""
+    return _train_bundle(
+        tiny_citation_dataset, tmp_path_factory.mktemp("serving_server") / "bundle.npz"
+    )
+
+
+@pytest.fixture(scope="module")
+def one_layer_bundle(tiny_citation_dataset, tmp_path_factory):
+    """A one-layer DHGNN: its embeddings *are* the writer's feature matrix."""
+    return _train_bundle(
+        tiny_citation_dataset,
+        tmp_path_factory.mktemp("serving_server") / "one_layer.npz",
+        n_layers=1,
+    )
 
 
 def _new_rows(dataset, count, seed=5):
@@ -77,105 +91,159 @@ def _new_rows(dataset, count, seed=5):
     return base + rng.normal(scale=0.05, size=base.shape)
 
 
-# --------------------------------------------------------------------------- #
-# InferenceSession.fork
-# --------------------------------------------------------------------------- #
-class TestFork:
-    def test_fork_is_bit_identical(self, bundle_path):
-        parent = InferenceSession(FrozenModel.load(bundle_path))
-        parent.predict()
-        child = parent.fork()
-        assert np.array_equal(
-            child.predict(output="logits"), parent.predict(output="logits")
-        )
-        assert np.array_equal(
-            child.predict([3, 7], output="embeddings"),
-            parent.predict([3, 7], output="embeddings"),
-        )
+def _every_answer(generation, nodes):
+    """Every kind of answer a generation gives, keyed by (output, query)."""
+    queries = {"all": None, "subset": nodes, "scalar": nodes[0]}
+    return {
+        (output, name): np.array(generation.answer(query, output=output))
+        for output in ("labels", "logits", "embeddings")
+        for name, query in queries.items()
+    }
 
-    def test_fork_inherits_cached_forward(self, bundle_path):
-        parent = InferenceSession(FrozenModel.load(bundle_path))
-        parent.predict()
-        child = parent.fork(seed_cache=False)
-        # The fork answers from the parent's cached forward: no refresh, no
-        # forward of its own.
-        assert np.array_equal(child.predict([0, 4]), parent.predict([0, 4]))
-        assert child.forwards == 0 and child.refreshes == 0
 
-    def test_fork_carries_mid_lifecycle_state(self, tiny_citation_dataset, bundle_path):
-        dataset = tiny_citation_dataset
-        parent = InferenceSession(FrozenModel.load(bundle_path))
-        parent.insert_nodes(_new_rows(dataset, 3))
-        parent.delete_nodes([1, 6])
-        parent.predict()
-        child = parent.fork()
-        assert child.n_nodes == parent.n_nodes
-        assert child.n_alive == parent.n_alive
-        assert np.array_equal(
-            child.predict(output="logits"), parent.predict(output="logits")
-        )
+# --------------------------------------------------------------------------- #
+# Generation: one immutable published forward
+# --------------------------------------------------------------------------- #
+class TestGeneration:
+    def test_generation_answers_like_its_session(self, tiny_citation_dataset, bundle_path):
+        session = InferenceSession(FrozenModel.load(bundle_path))
+        session.insert_nodes(_new_rows(tiny_citation_dataset, 3))
+        session.delete_nodes([1, 6])
+        generation = session.generation()
+        assert generation is session.generation()  # frozen once per forward
+        assert generation.id == session.forwards
+        for output in ("labels", "logits", "embeddings"):
+            assert np.array_equal(
+                generation.answer(output=output), session.predict(output=output)
+            )
+            assert np.array_equal(
+                generation.answer([0, 4, 121], output=output),
+                session.predict([0, 4, 121], output=output),
+            )
+        assert generation.answer(5) == session.predict(5)
         with pytest.raises(ConfigurationError, match="deleted"):
-            child.predict([1])
+            generation.answer([1])
+        with pytest.raises(ConfigurationError, match="output"):
+            generation.answer([0], output="entropy")
 
-    def test_fork_is_isolated_both_ways(self, tiny_citation_dataset, bundle_path):
+    def test_capture_owns_private_copies(self):
+        logits = np.arange(12.0).reshape(4, 3)
+        embeddings = np.ones((4, 2))
+        alive = np.array([True, True, False, True])
+        generation = Generation.capture(7, logits, embeddings, alive)
+        expected = logits[[0, 1, 3]].copy()
+        for source in (logits, embeddings, alive):
+            source[...] = 0
+        assert generation.id == 7 and generation.alive.size == 4
+        assert np.array_equal(generation.labels, [2, 2, 2, 2])
+        assert np.array_equal(generation.answer(output="logits"), expected)
+        assert np.array_equal(generation.answer(3, output="embeddings"), [1.0, 1.0])
+        with pytest.raises(ConfigurationError, match="deleted"):
+            generation.answer(2)
+
+    @pytest.mark.parametrize("output", ["labels", "logits", "embeddings"])
+    def test_answers_are_fresh_arrays(self, bundle_path, output):
+        generation = InferenceSession(FrozenModel.load(bundle_path)).generation()
+        expected = generation.answer([2, 5], output=output).copy()
+        whole = generation.answer(output=output)
+        subset = generation.answer([2, 5], output=output)
+        assert whole.shape[0] == generation.alive.sum() and subset.shape[0] == 2
+        assert np.array_equal(np.asarray(generation.answer(2, output=output)), expected[0])
+        # Callers own what they get back: scribbling on an answer never
+        # reaches the generation.
+        whole[...] = 0
+        subset[...] = 0
+        assert np.array_equal(generation.answer([2, 5], output=output), expected)
+
+    def test_module_plan_generation_has_no_embeddings(self, tiny_coauthorship_dataset):
+        reset_default_engine()
+        dataset = tiny_coauthorship_dataset
+        model = HGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
+        Trainer(model, dataset, TrainConfig(epochs=2, patience=None)).train()
+        session = InferenceSession(FrozenModel.compile(model, dataset.features))
+        generation = session.generation()
+        assert generation.embeddings is None
+        assert np.array_equal(
+            generation.answer(output="logits"), session.predict(output="logits")
+        )
+        with pytest.raises(ConfigurationError, match="embeddings"):
+            generation.answer([0], output="embeddings")
+
+    def test_labels_are_computed_once_per_generation(self, bundle_path, monkeypatch):
+        session = InferenceSession(FrozenModel.load(bundle_path))
+        generation = session.generation()
+        expected = np.argmax(generation.logits, axis=1)
+        assert np.array_equal(generation.labels, expected)
+
+        def no_argmax(*args, **kwargs):
+            raise AssertionError("a label read must not argmax the logits")
+
+        monkeypatch.setattr(np, "argmax", no_argmax)
+        assert generation.answer(7) == expected[7]
+        assert session.predict(7) == expected[7]
+
+    @pytest.mark.parametrize("bundle", ["bundle_path", "one_layer_bundle"])
+    def test_captured_generation_survives_every_writer_mutation(
+        self, tiny_citation_dataset, request, bundle
+    ):
+        # The writer mutates two arrays in place: update_features overwrites
+        # rows of the feature matrix (layer 0's input — a one-layer model's
+        # embeddings), and delete_nodes flips its tombstone mask.  A
+        # captured generation must be immune to both, and to everything
+        # else the writer does afterwards.
         dataset = tiny_citation_dataset
-        parent = InferenceSession(FrozenModel.load(bundle_path))
-        parent.predict()
-        baseline = parent.predict(output="logits").copy()
-        child = parent.fork()
-        # Child churns: parent's answers must not move.
-        child.insert_nodes(_new_rows(dataset, 4, seed=8))
-        child.delete_nodes([0])
-        child.compact()
-        child.predict()
-        assert np.array_equal(parent.predict(output="logits"), baseline)
-        assert parent.n_nodes == dataset.n_nodes
-        # Parent churns: the (already churned) child must not move either.
-        child_view = child.predict(output="logits").copy()
-        parent.update_features([5], dataset.features[[5]] + 0.3)
-        parent.predict()
-        assert np.array_equal(child.predict(output="logits"), child_view)
+        pool = SessionPool(FrozenModel.load(request.getfixturevalue(bundle)))
+        captured = pool.current
+        nodes = [0, 3, 8]
+        before = _every_answer(captured, nodes)
+
+        pool.update(nodes, dataset.features[nodes] + 0.5)
+        pool.delete([3])
+        pool.insert(_new_rows(dataset, 2))
+        pool.publish()
+        assert pool.current.id == captured.id + 4
+        with pytest.raises(ConfigurationError, match="deleted"):
+            pool.current.answer([3])
+
+        for key, value in _every_answer(captured, nodes).items():
+            assert np.array_equal(value, before[key]), key
+        for array in (captured.labels, captured.logits, captured.embeddings, captured.alive):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[1]
 
 
 # --------------------------------------------------------------------------- #
-# SessionPool: fan-out swap bit-identity
+# SessionPool: published generations vs. fresh snapshots
 # --------------------------------------------------------------------------- #
 class TestSessionPool:
-    def _replica_sessions(self, pool):
-        return [replica.session for replica in pool.replicas()]
-
     def test_readers_match_frozen_snapshot_across_swap(
         self, tiny_citation_dataset, bundle_path
     ):
-        # The satellite guarantee: N reader sessions are bit-identical to a
-        # fresh to_frozen() snapshot of their generation, before and after an
-        # operator fan-out swap, while the writer mutates in between.
+        # The published generation is bit-identical to a fresh to_frozen()
+        # snapshot of its state, before and after a swap, and a reader still
+        # holding the pre-swap generation keeps serving it unchanged.
         dataset = tiny_citation_dataset
-        pool = SessionPool(FrozenModel.load(bundle_path), replicas=3)
-        snapshot = InferenceSession(pool.writer.to_frozen())
-        reference = snapshot.predict(output="logits")
-        old_readers = self._replica_sessions(pool)
-        for session in old_readers:
-            assert np.array_equal(session.predict(output="logits"), reference)
+        pool = SessionPool(FrozenModel.load(bundle_path))
+        reference = InferenceSession(pool.writer.to_frozen()).predict(output="logits")
+        old = pool.current
+        assert np.array_equal(old.answer(output="logits"), reference)
 
         pool.insert(_new_rows(dataset, 4))  # mutate + republish
-        new_snapshot = InferenceSession(pool.writer.to_frozen())
-        new_reference = new_snapshot.predict(output="logits")
+        new_reference = InferenceSession(pool.writer.to_frozen()).predict(output="logits")
         assert new_reference.shape[0] == reference.shape[0] + 4
-        for session in self._replica_sessions(pool):
-            assert np.array_equal(session.predict(output="logits"), new_reference)
-        # Pre-swap readers still serve their own complete generation.
-        for session in old_readers:
-            assert np.array_equal(session.predict(output="logits"), reference)
+        assert np.array_equal(pool.current.answer(output="logits"), new_reference)
+        assert np.array_equal(old.answer(output="logits"), reference)
 
     def test_readers_stay_identical_while_writer_mutates_concurrently(
         self, tiny_citation_dataset, bundle_path
     ):
         dataset = tiny_citation_dataset
-        pool = SessionPool(FrozenModel.load(bundle_path), replicas=3)
-        reference = InferenceSession(pool.writer.to_frozen()).predict(output="logits")
-        readers = self._replica_sessions(pool)
-        stop = False
+        pool = SessionPool(FrozenModel.load(bundle_path))
+        references = {
+            pool.generation: InferenceSession(pool.writer.to_frozen()).predict(output="logits")
+        }
+        stop = threading.Event()
 
         def churn():
             for round_index in range(4):
@@ -183,49 +251,57 @@ class TestSessionPool:
                 pool.writer.update_features(
                     [round_index], dataset.features[[round_index]] + 0.1
                 )
-                pool.publish()
+                published = pool.publish()
+                references[published.id] = InferenceSession(
+                    pool.writer.to_frozen()
+                ).predict(output="logits")
             return pool.generation
 
-        def read_loop(session):
-            checks = 0
-            while not stop:
-                assert np.array_equal(session.predict(output="logits"), reference)
-                checks += 1
-            return checks
+        def read_loop():
+            seen = []
+            while not stop.is_set():
+                generation = pool.current
+                seen.append((generation.id, generation.answer(output="logits")))
+            return seen
 
         with ThreadPoolExecutor(max_workers=4) as executor:
-            futures = [executor.submit(read_loop, session) for session in readers]
+            futures = [executor.submit(read_loop) for _ in range(3)]
             generation = executor.submit(churn).result()
-            stop = True
-            for future in futures:
-                assert future.result() > 0
+            stop.set()
+            reads = [read for future in futures for read in future.result()]
         assert generation == 5  # initial publish + 4 republishes
-        # The post-churn fleet serves the post-churn snapshot, bit-identically.
-        final = InferenceSession(pool.writer.to_frozen()).predict(output="logits")
-        for session in self._replica_sessions(pool):
-            assert np.array_equal(session.predict(output="logits"), final)
+        assert reads
+        # Every read served one complete published generation, bit-identically.
+        for generation_id, logits in reads:
+            assert np.array_equal(logits, references[generation_id]), generation_id
+
+    def test_publish_swaps_in_the_next_generation(self, bundle_path):
+        pool = SessionPool(FrozenModel.load(bundle_path))
+        first = pool.current
+        published = pool.publish()  # the writer is unchanged since the last one
+        assert published is pool.current
+        assert published.id == first.id + 1 == pool.generation
+        # Same forward, restamped: no second forward and no copy.
+        assert pool.writer.forwards == 1
+        assert published.logits is first.logits
 
     def test_delete_and_compact_republish(self, bundle_path):
-        pool = SessionPool(FrozenModel.load(bundle_path), replicas=2)
+        pool = SessionPool(FrozenModel.load(bundle_path))
         n_before = pool.writer.n_nodes
         result = pool.delete([2, 9])
         assert result["n_alive"] == n_before - 2 and result["tombstones"] == 2
-        for session in self._replica_sessions(pool):
-            with pytest.raises(ConfigurationError, match="deleted"):
-                session.predict([2])
-            assert np.array_equal(
-                session.predict(output="labels"), pool.writer.predict(output="labels")
-            )
+        with pytest.raises(ConfigurationError, match="deleted"):
+            pool.current.answer([2])
+        assert np.array_equal(
+            pool.current.answer(output="labels"), pool.writer.predict(output="labels")
+        )
         result = pool.compact()
         assert result["n_nodes"] == n_before - 2
-        for session in self._replica_sessions(pool):
-            assert session.n_nodes == n_before - 2
+        assert pool.current.alive.size == n_before - 2
 
     def test_checkpoints_published_generations(self, tmp_path, bundle_path):
         checkpoint = tmp_path / "checkpoint.npz"
-        pool = SessionPool(
-            FrozenModel.load(bundle_path), replicas=1, checkpoint_path=checkpoint
-        )
+        pool = SessionPool(FrozenModel.load(bundle_path), checkpoint_path=checkpoint)
         assert checkpoint.exists() and pool.checkpoints == 1
         reference = pool.writer.predict(output="logits")
         warm = InferenceSession(FrozenModel.load(checkpoint))
@@ -235,98 +311,6 @@ class TestSessionPool:
         assert pool.checkpoints == 1
         pool.compact()
         assert pool.checkpoints == 2
-
-
-# --------------------------------------------------------------------------- #
-# MicroBatcher
-# --------------------------------------------------------------------------- #
-class TestMicroBatcher:
-    def _batcher(self, bundle_path, **kwargs):
-        pool = SessionPool(FrozenModel.load(bundle_path), replicas=1)
-        executor = ThreadPoolExecutor(max_workers=2)
-        kwargs.setdefault("window_s", 0.05)
-        kwargs.setdefault("max_batch_size", 64)
-        kwargs.setdefault("max_queue_depth", 128)
-        return pool, executor, MicroBatcher(pool, executor, **kwargs)
-
-    def test_concurrent_requests_coalesce_into_one_dispatch(self, bundle_path):
-        pool, executor, batcher = self._batcher(bundle_path)
-        direct = InferenceSession(FrozenModel.load(bundle_path))
-
-        async def scenario():
-            batcher.start()
-            results = await asyncio.gather(
-                *[
-                    batcher.submit({"nodes": [node], "output": "logits"})
-                    for node in range(10)
-                ]
-            )
-            await batcher.stop()
-            return results
-
-        results = asyncio.run(scenario())
-        for node, result in enumerate(results):
-            assert np.array_equal(result, direct.predict([node], output="logits"))
-        assert batcher.stats()["batches"] == 1
-        assert batcher.stats()["mean_batch_size"] == 10.0
-        executor.shutdown()
-
-    def test_window_zero_disables_coalescing(self, bundle_path):
-        pool, executor, batcher = self._batcher(bundle_path, window_s=0.0)
-
-        async def scenario():
-            batcher.start()
-            await asyncio.gather(
-                *[batcher.submit({"nodes": [node]}) for node in range(7)]
-            )
-            await batcher.stop()
-
-        asyncio.run(scenario())
-        stats = batcher.stats()
-        assert stats["batches"] == 7 and stats["max_batch_size"] == 1
-        executor.shutdown()
-
-    def test_one_bad_request_fails_only_its_submitter(self, bundle_path):
-        pool, executor, batcher = self._batcher(bundle_path)
-        direct = InferenceSession(FrozenModel.load(bundle_path))
-
-        async def scenario():
-            batcher.start()
-            results = await asyncio.gather(
-                batcher.submit({"nodes": [3]}),
-                batcher.submit({"nodes": 7.5}),
-                batcher.submit({"nodes": [5], "output": "logits"}),
-                return_exceptions=True,
-            )
-            await batcher.stop()
-            return results
-
-        good, bad, also_good = asyncio.run(scenario())
-        assert np.array_equal(good, direct.predict([3]))
-        assert isinstance(bad, ConfigurationError) and "7.5" in str(bad)
-        assert np.array_equal(also_good, direct.predict([5], output="logits"))
-        assert batcher.stats()["batches"] == 1  # they shared one dispatch
-        executor.shutdown()
-
-    def test_queue_depth_sheds_load(self, bundle_path):
-        pool, executor, batcher = self._batcher(bundle_path, max_queue_depth=2)
-
-        async def scenario():
-            # The dispatcher is NOT started: submissions park in the queue.
-            first = asyncio.ensure_future(batcher.submit({"nodes": [0]}))
-            second = asyncio.ensure_future(batcher.submit({"nodes": [1]}))
-            await asyncio.sleep(0)
-            with pytest.raises(ServerOverloadedError, match="full"):
-                await batcher.submit({"nodes": [2]})
-            assert batcher.stats()["rejected"] == 1
-            # Draining the queue re-admits new work.
-            batcher.start()
-            await asyncio.gather(first, second)
-            await batcher.submit({"nodes": [2]})
-            await batcher.stop()
-
-        asyncio.run(scenario())
-        executor.shutdown()
 
 
 # --------------------------------------------------------------------------- #
@@ -371,8 +355,6 @@ class _Client:
 class TestServingServerHTTP:
     def _serve(self, bundle_path, scenario, **config_kwargs):
         config_kwargs.setdefault("port", 0)
-        config_kwargs.setdefault("replicas", 2)
-        config_kwargs.setdefault("batch_window_ms", 2.0)
 
         async def run():
             server = ServingServer(
@@ -416,8 +398,9 @@ class TestServingServerHTTP:
 
             status, stats = await client.request("GET", "/stats")
             assert status == 200
-            assert stats["batcher"]["requests"] == 3
-            assert stats["pool"]["replicas"] == 2
+            assert stats["pool"]["generation"] == 1
+            assert stats["telemetry"]["queue_depth"] == 0
+            assert "batcher" not in stats and "replicas" not in stats["pool"]
 
         self._serve(bundle_path, scenario)
 
@@ -449,6 +432,7 @@ class TestServingServerHTTP:
         self._serve(bundle_path, scenario)
 
     def test_bad_request_does_not_poison_batch(self, bundle_path):
+        # Concurrent good and bad reads: each answered on its own merits.
         direct = InferenceSession(FrozenModel.load(bundle_path))
 
         async def scenario(server, client):
@@ -463,7 +447,7 @@ class TestServingServerHTTP:
             assert good[1]["result"] == direct.predict([1, 2]).tolist()
             assert bad[0] == 400 and "2.5" in bad[1]["error"]
 
-        self._serve(bundle_path, scenario, batch_window_ms=25.0)
+        self._serve(bundle_path, scenario)
 
     def test_writes_are_read_your_writes(self, tiny_citation_dataset, bundle_path):
         dataset = tiny_citation_dataset
@@ -477,7 +461,7 @@ class TestServingServerHTTP:
             new_ids = inserted["ids"]
             assert len(new_ids) == 2
 
-            # The very next read sees the insert (new replicas already live).
+            # The very next read sees the insert (its generation is live).
             status, answer = await client.request(
                 "POST", "/predict", {"nodes": new_ids}
             )
@@ -527,6 +511,39 @@ class TestServingServerHTTP:
 
         self._serve(bundle_path, scenario)
 
+    def test_whole_set_read_skips_tombstones(self, bundle_path):
+        async def scenario(server, client):
+            status, deleted = await client.request("POST", "/delete", {"nodes": [4]})
+            assert status == 200
+            status, answer = await client.request("POST", "/predict", {"nodes": None})
+            assert status == 200 and answer["generation"] == deleted["generation"]
+            return answer["result"]
+
+        labels = self._serve(bundle_path, scenario)
+        direct = InferenceSession(FrozenModel.load(bundle_path))
+        direct.delete_nodes([4])
+        assert labels == direct.predict().tolist()
+        assert len(labels) == direct.n_nodes - 1
+
+    def test_shutdown_answers_in_flight_writes_first(self, bundle_path):
+        async def run():
+            server = ServingServer(FrozenModel.load(bundle_path), ServerConfig(port=0))
+            await server.start()
+            async with _Client(server.port) as client:
+                await server._write_lock.acquire()
+                parked = asyncio.ensure_future(client.request("POST", "/compact", {}))
+                while server.in_flight == 0:
+                    await asyncio.sleep(0.001)
+                closing = asyncio.ensure_future(server.shutdown())
+                await asyncio.sleep(0.05)
+                assert not closing.done() and server.status == "draining"
+                server._write_lock.release()
+                status, _ = await parked
+                await closing
+            return status
+
+        assert asyncio.run(run()) == 200
+
     def test_draining_returns_503(self, bundle_path):
         async def scenario(server, client):
             server._draining = True
@@ -539,151 +556,80 @@ class TestServingServerHTTP:
 
     def test_overload_returns_429(self, bundle_path):
         async def scenario(server, client):
-            # Stop the dispatcher so admitted requests park in the queue.
-            server.batcher._dispatcher.cancel()
-            await asyncio.sleep(0)
-            pending = [
-                asyncio.ensure_future(server.batcher.submit({"nodes": [i]}))
-                for i in range(2)
-            ]
-            await asyncio.sleep(0)
-            status, payload = await client.request("POST", "/predict", {"node": 0})
-            assert status == 429 and "full" in payload["error"]
-            for future in pending:
-                future.cancel()
-            server.batcher.pending = 0
+            # Hold the write lock so one write parks in flight.
+            await server._write_lock.acquire()
+            async with _Client(server.port) as writer:
+                parked = asyncio.ensure_future(writer.request("POST", "/compact", {}))
+                while server.in_flight == 0:
+                    await asyncio.sleep(0.001)
+                status, payload = await client.request("POST", "/predict", {"node": 0})
+                assert status == 429 and "full" in payload["error"]
+                status, health = await client.request("GET", "/healthz")
+                assert status == 200 and health["queue_depth"] == 1
+                server._write_lock.release()
+                assert (await parked)[0] == 200
+            # Back under the cap: reads are admitted again.
+            assert (await client.request("POST", "/predict", {"node": 0}))[0] == 200
 
-        self._serve(bundle_path, scenario, max_queue_depth=2)
+        self._serve(bundle_path, scenario, max_queue_depth=1)
+
+    def test_every_answer_matches_the_generation_it_is_stamped_with(
+        self, tiny_citation_dataset, bundle_path
+    ):
+        # Regression: a read's ``generation`` must name the generation that
+        # computed its answer, even while writes publish between reads.
+        dataset = tiny_citation_dataset
+        rng = np.random.default_rng(3)
+        updates = []
+        for _ in range(6):
+            nodes = sorted(rng.choice(dataset.n_nodes, 3, replace=False).tolist())
+            rows = dataset.features[nodes] + rng.normal(scale=0.05, size=(3, dataset.n_features))
+            updates.append((nodes, rows.tolist()))
+
+        async def scenario(server, client):
+            answers = []
+            writing = True
+
+            async def read_loop():
+                async with _Client(server.port) as reader:
+                    while writing:
+                        status, body = await reader.request(
+                            "POST", "/predict", {"nodes": None, "output": "logits"}
+                        )
+                        assert status == 200
+                        answers.append((body["generation"], body["result"]))
+
+            readers = [asyncio.ensure_future(read_loop()) for _ in range(2)]
+            acked = []
+            for nodes, rows in updates:
+                status, body = await client.request(
+                    "POST", "/update", {"nodes": nodes, "features": rows}
+                )
+                assert status == 200
+                acked.append(body["generation"])
+            writing = False
+            await asyncio.gather(*readers)
+            return acked, answers
+
+        acked, answers = self._serve(bundle_path, scenario)
+        assert acked == list(range(2, 2 + len(updates)))
+        session = InferenceSession(FrozenModel.load(bundle_path))
+        reference = {1: session.predict(output="logits")}
+        for (nodes, rows), generation in zip(updates, acked):
+            session.update_features(nodes, np.asarray(rows))
+            reference[generation] = session.predict(output="logits")
+        for generation, result in answers:
+            assert np.array_equal(np.asarray(result), reference[generation]), generation
+        assert len({generation for generation, _ in answers}) > 1
 
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError, match="replicas"):
-            ServerConfig(replicas=0)
-        with pytest.raises(ConfigurationError, match="batch_window_ms"):
-            ServerConfig(batch_window_ms=-1.0)
-        with pytest.raises(ConfigurationError, match="max_batch_size"):
-            ServerConfig(max_batch_size=0)
         with pytest.raises(ConfigurationError, match="max_queue_depth"):
             ServerConfig(max_queue_depth=0)
-
-
-# --------------------------------------------------------------------------- #
-# SessionPool.acquire: exception safety + round-robin fairness
-# --------------------------------------------------------------------------- #
-class TestAcquireRegression:
-    """A raising request handler must never leak a permanently-busy replica,
-    and the round-robin cursor must advance past the replica actually chosen
-    (not blindly by one) so a skipped-over busy replica doesn't make the next
-    pick land on the same neighbour forever."""
-
-    def test_raising_handler_never_leaks_a_busy_replica(self, bundle_path):
-        pool = SessionPool(FrozenModel.load(bundle_path), replicas=2)
-
-        async def scenario():
-            async def request(i):
-                async with pool.acquire() as session:
-                    await asyncio.sleep(0)
-                    if i % 2:
-                        raise RuntimeError("handler blew up")
-                    return session.predict([0])
-
-            results = await asyncio.gather(
-                *[request(i) for i in range(20)], return_exceptions=True
-            )
-            assert sum(isinstance(r, RuntimeError) for r in results) == 10
-            # No replica is left locked, and the fleet still serves.
-            assert all(not replica.lock.locked() for replica in pool.replicas())
-            async with pool.acquire() as session:
-                session.predict([0])
-
-        asyncio.run(scenario())
-
-    def test_raising_predict_batch_under_concurrency(self, bundle_path):
-        # End-to-end through the MicroBatcher: predict_batch itself blowing
-        # up fails every submitter of the batch but releases the replica, so
-        # the very next request succeeds on the same fleet.
-        pool = SessionPool(FrozenModel.load(bundle_path), replicas=2)
-        executor = ThreadPoolExecutor(max_workers=2)
-        batcher = MicroBatcher(
-            pool, executor, window_s=0.02, max_batch_size=64, max_queue_depth=128
-        )
-        originals = [replica.session.predict_batch for replica in pool.replicas()]
-
-        def boom(requests, on_error="return"):
-            raise RuntimeError("replica died mid-batch")
-
-        async def scenario():
-            batcher.start()
-            for replica in pool.replicas():
-                replica.session.predict_batch = boom
-            failures = await asyncio.gather(
-                *[batcher.submit({"nodes": [i]}) for i in range(8)],
-                return_exceptions=True,
-            )
-            assert all(isinstance(f, RuntimeError) for f in failures)
-            assert all(not replica.lock.locked() for replica in pool.replicas())
-            for replica, original in zip(pool.replicas(), originals):
-                replica.session.predict_batch = original
-            recovered = await batcher.submit({"nodes": [0]})
-            await batcher.stop()
-            return recovered
-
-        recovered = asyncio.run(scenario())
-        direct = InferenceSession(FrozenModel.load(bundle_path))
-        assert np.array_equal(recovered, direct.predict([0]))
-        executor.shutdown()
-
-    def test_round_robin_cycles_all_replicas(self, bundle_path):
-        pool = SessionPool(FrozenModel.load(bundle_path), replicas=3)
-
-        async def scenario():
-            for _ in range(9):
-                async with pool.acquire():
-                    pass
-
-        asyncio.run(scenario())
-        assert [replica.served for replica in pool.replicas()] == [3, 3, 3]
-
-    def test_round_robin_stays_fair_around_a_busy_replica(self, bundle_path):
-        pool = SessionPool(FrozenModel.load(bundle_path), replicas=3)
-
-        async def scenario():
-            blocked = pool.replicas()[0]
-            await blocked.lock.acquire()  # replica 0 wedged for the duration
-            try:
-                for _ in range(8):
-                    async with pool.acquire():
-                        pass
-            finally:
-                blocked.lock.release()
-
-        asyncio.run(scenario())
-        served = [replica.served for replica in pool.replicas()]
-        assert served[0] == 0
-        # The two free replicas split the work evenly — the cursor advances
-        # past the chosen replica, it does not keep re-landing on one.
-        assert sum(served[1:]) == 8 and abs(served[1] - served[2]) <= 1
-
-    def test_all_busy_acquire_waits_instead_of_failing(self, bundle_path):
-        pool = SessionPool(FrozenModel.load(bundle_path), replicas=2)
-
-        async def scenario():
-            for replica in pool.replicas():
-                await replica.lock.acquire()
-
-            async def late_request():
-                async with pool.acquire() as session:
-                    return session.predict([1])
-
-            waiter = asyncio.ensure_future(late_request())
-            await asyncio.sleep(0)
-            assert not waiter.done()  # parked, not errored
-            for replica in pool.replicas():
-                replica.lock.release()
-            return await asyncio.wait_for(waiter, timeout=5)
-
-        result = asyncio.run(scenario())
-        direct = InferenceSession(FrozenModel.load(bundle_path))
-        assert np.array_equal(result, direct.predict([1]))
+        with pytest.raises(ConfigurationError, match="write_timeout_s"):
+            ServerConfig(write_timeout_s=0)
+        for removed in ("replicas", "batch_window_ms", "max_batch_size", "request_timeout_s"):
+            with pytest.raises(TypeError, match=removed):
+                ServerConfig(**{removed: 1})
 
 
 # --------------------------------------------------------------------------- #
@@ -740,22 +686,19 @@ class TestShardedServing:
 
         # A pool over the saved bundle auto-detects the shard map: the
         # writer comes back sharded without any explicit shards= argument.
-        pool = SessionPool(FrozenModel.load(out), replicas=2)
+        pool = SessionPool(FrozenModel.load(out))
         assert isinstance(pool.writer, ShardedSession)
         assert isinstance(pool.writer.backend, ShardedBackend)
         assert pool.stats()["writer"]["sharded"] is True
         assert np.array_equal(pool.writer.predict(output="logits"), reference)
-        for replica in pool.replicas():
-            assert np.array_equal(
-                replica.session.predict(output="logits"), reference
-            )
+        assert np.array_equal(pool.current.answer(output="logits"), reference)
 
     def test_sharded_pool_matches_unsharded_pool_bit_for_bit(
         self, tiny_citation_dataset, bundle_path
     ):
         dataset = tiny_citation_dataset
-        plain = SessionPool(FrozenModel.load(bundle_path), replicas=2)
-        sharded = SessionPool(FrozenModel.load(bundle_path), replicas=2, shards=4)
+        plain = SessionPool(FrozenModel.load(bundle_path))
+        sharded = SessionPool(FrozenModel.load(bundle_path), shards=4)
         assert sharded.stats()["writer"]["sharded"] is True
         assert plain.stats()["writer"]["sharded"] is False
 
@@ -768,10 +711,7 @@ class TestShardedServing:
         sharded.compact()
         expected = plain.writer.predict(output="logits")
         assert np.array_equal(sharded.writer.predict(output="logits"), expected)
-        for replica in sharded.replicas():
-            assert np.array_equal(
-                replica.session.predict(output="logits"), expected
-            )
+        assert np.array_equal(sharded.current.answer(output="logits"), expected)
 
     def test_http_serving_with_shards(self, tiny_citation_dataset, bundle_path):
         dataset = tiny_citation_dataset
@@ -818,11 +758,19 @@ class TestShardedServing:
 # CLI: repro serve
 # --------------------------------------------------------------------------- #
 class TestServeCLI:
+    @pytest.mark.parametrize(
+        "flag", ["--replicas", "--batch-window-ms", "--max-batch-size", "--request-timeout-s"]
+    )
+    def test_removed_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--bundle", "b.npz", flag, "1"])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_serve_boots_and_answers(self, bundle_path):
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve",
-                "--bundle", str(bundle_path), "--port", "0", "--replicas", "1",
+                "--bundle", str(bundle_path), "--port", "0",
             ],
             stderr=subprocess.PIPE,
             text=True,
