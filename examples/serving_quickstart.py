@@ -28,16 +28,10 @@ The script walks the full serving workflow of :mod:`repro.serving`:
    subprocess with ``--checkpoint`` + ``--wal``, mutate it over the wire,
    ``kill -9`` it mid-flight, restart it from the same paths and check the
    recovered process answers bit-identically;
-9. shard the node set: persist a k-means shard map into a bundle (what
-   ``repro export --shards N`` does), reload it as a
-   :class:`~repro.serving.ShardedSession` that routes every mutation by
-   shard, insert nodes that land in different shards, then compact — the
-   session re-partitions the survivors (a *rebalance*) while every answer
-   stays bit-identical to an unsharded session fed the same mutations;
-10. watch the server run: scrape the Prometheus ``/metrics`` plane, capture
-    a structured per-request trace (parse and answer spans that sum to the
-    end-to-end latency) and pretty-print the live operational state
-    with the ``repro stats`` command-line client.
+9. watch the server run: scrape the Prometheus ``/metrics`` plane, capture
+   a structured per-request trace (parse and answer spans that sum to the
+   end-to-end latency) and pretty-print the live operational state with the
+   ``repro stats`` command-line client.
 """
 
 from __future__ import annotations
@@ -160,13 +154,8 @@ def main() -> None:
         #    write-ahead log, killed with SIGKILL and recovered.
         _crash_and_recover(checkpoint, dataset, Path(tmp))
 
-        # 9. Sharded serving: partition the node set, serve by routing, and
-        #    rebalance on compact — answers never change, only where the
-        #    per-shard neighbour work happens.
-        _sharded_serving(checkpoint, dataset, Path(tmp))
-
-        # 10. Observability: the /metrics plane, a structured request
-        #     trace, and the `repro stats` pretty-printer.
+        # 9. Observability: the /metrics plane, a structured request trace,
+        #    and the `repro stats` pretty-printer.
         asyncio.run(_observability(checkpoint))
 
 
@@ -313,59 +302,6 @@ def _crash_and_recover(bundle: Path, dataset, tmp: Path) -> None:
         process.wait(timeout=30)
 
 
-def _sharded_serving(bundle: Path, dataset, tmp: Path) -> None:
-    """Partition, route, insert across shards, compact/rebalance — bit-equal."""
-    from repro.serving import ShardedSession
-
-    # Export a sharded bundle: a k-means shard map rides the bundle meta, so
-    # whatever loads it comes up sharded.  On the command line this is
-    # `repro export ... --shards 3` (and `repro serve --shards 3` for a pool).
-    sharded_bundle = tmp / "sharded_bundle.npz"
-    sharded = ShardedSession(FrozenModel.load(bundle), n_shards=3)
-    sharded.to_frozen().save(sharded_bundle)
-    sharded.close()
-
-    # Reload without naming a shard count: the persisted map decides.  An
-    # unsharded twin on the same original bundle is the bit-identity witness
-    # (at tolerance=0 — the bundle's own 0.1-tolerance backend is allowed to
-    # drift from exact, the sharded backend is not).
-    sharded = ShardedSession(FrozenModel.load(sharded_bundle))
-    plain = InferenceSession(
-        FrozenModel.load(bundle, backend=IncrementalBackend(tolerance=0.0))
-    )
-    sizes = sharded.stats()["backend"]["shard_sizes"]
-    print(f"sharded session up: {sharded.n_nodes} nodes in "
-          f"{len(sizes)} shards of sizes {sizes}")
-    assert np.array_equal(sharded.predict(), plain.predict())
-
-    # Inserts route by nearest shard centroid: rows drawn from far-apart
-    # corners of the dataset land in different shards.
-    rng = np.random.default_rng(7)
-    rows = dataset.features[[0, dataset.n_nodes // 2, dataset.n_nodes - 1]]
-    rows = rows + rng.normal(scale=0.05, size=rows.shape)
-    new_ids = sharded.insert_nodes(rows)
-    plain.insert_nodes(rows)
-    assert np.array_equal(sharded.predict(new_ids), plain.predict(new_ids))
-    # The refresh behind that predict routed the new rows into the partition.
-    assignment = sharded.backend.shard_map.assignment[new_ids]
-    print(f"inserted nodes {new_ids.tolist()} -> shards {assignment.tolist()}")
-
-    # Compact after deletions re-fits the partition over the survivors (a
-    # rebalance).  Partition-independence makes this invisible to clients:
-    # the compacted sharded and unsharded sessions still serve the same bytes.
-    doomed = [2, 5, 8]
-    sharded.delete_nodes(doomed)
-    plain.delete_nodes(doomed)
-    assert np.array_equal(sharded.compact(), plain.compact())
-    stats = sharded.stats()["backend"]
-    print(f"compacted + rebalanced (rebalances={stats['rebalances']}): "
-          f"shard sizes now {stats['shard_sizes']}")
-    assert np.array_equal(sharded.predict(), plain.predict())
-    print("sharded vs unsharded predictions: bit-identical through the "
-          "whole lifecycle")
-    sharded.close()
-
-
 async def _observability(bundle: Path) -> None:
     """Scrape /metrics, catch a request trace, run the stats CLI client."""
     import logging
@@ -399,7 +335,7 @@ async def _observability(bundle: Path) -> None:
         await reader.readexactly(int(head[marker:head.index(b"\r", marker)]))
 
         # The Prometheus text plane: counters, gauges and histograms from
-        # every layer (server, pool, WAL, shards) in one scrape.
+        # every layer (server, pool, WAL) in one scrape.
         writer.write(b"GET /metrics HTTP/1.1\r\nHost: quickstart\r\n"
                      b"Content-Length: 0\r\n\r\n")
         await writer.drain()

@@ -164,12 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument(
         "--result", default=None, help="also save the TrainResult as JSON here"
     )
-    export.add_argument(
-        "--shards", type=int, default=None,
-        help="also persist a k-means shard map over this many shards into the "
-        "bundle meta; sessions and servers loading the bundle come up sharded "
-        "(per-shard neighbour state, scoped repairs, rebalance on compact)",
-    )
 
     predict = subparsers.add_parser(
         "predict", help="answer queries from a serving bundle"
@@ -247,16 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cluster-assignment", choices=("nearest", "frozen"), default="nearest",
         help="cluster policy for nodes inserted through POST /insert",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=None,
-        help="serve with a sharded session pool over this many k-means shards "
-        "(a bundle exported with --shards comes up sharded automatically)",
-    )
-    serve.add_argument(
-        "--refresh-workers", type=int, default=None,
-        help="process-pool size for parallel per-shard candidate rebuilds "
-        "(default: serial; only meaningful with sharding)",
     )
     serve.add_argument(
         "--trace-sample-rate", type=float, default=0.0,
@@ -409,24 +393,13 @@ def _command_export(args: argparse.Namespace) -> int:
     )
     trainer = Trainer(model, dataset, config)
     result = trainer.train()
-    frozen = trainer.export_frozen(args.out)
-    if args.shards:
-        from repro.hypergraph.sharding import make_shard_map
-
-        # The map rides in the bundle meta; anything loading the bundle
-        # (InferenceSession via SessionPool, `repro serve`) comes up sharded.
-        frozen.meta["shard_map"] = make_shard_map(
-            frozen.features, args.shards, seed=args.seed
-        ).to_meta()
-        frozen.save(args.out)
+    trainer.export_frozen(args.out)
     if args.result:
         result.save(args.result)
     print(f"dataset      : {dataset.name} ({dataset.n_nodes} nodes)")
     print(f"model        : {args.model} ({result.n_parameters} parameters)")
     print(f"test accuracy: {result.test_accuracy:.4f}")
     print(f"bundle       : {args.out}")
-    if args.shards:
-        print(f"shards       : {args.shards}")
     if args.result:
         print(f"result       : {args.result}")
     return 0
@@ -507,8 +480,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         wal_fsync=not args.no_wal_fsync,
         write_timeout_s=args.write_timeout_s or None,
         cluster_assignment=args.cluster_assignment,
-        shards=args.shards,
-        refresh_workers=args.refresh_workers,
         trace_sample_rate=args.trace_sample_rate,
         slow_ms=args.slow_ms,
         profile=args.profile,

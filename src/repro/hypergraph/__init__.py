@@ -29,7 +29,6 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.kmeans import KMeansResult, assign_to_centroids, kmeans
 from repro.hypergraph.knn import (
     DISTANCE_COUNTERS,
-    knn_against_corpus,
     knn_indices,
     knn_indices_bruteforce,
     knn_query_rows,
@@ -53,10 +52,6 @@ from repro.hypergraph.refresh import (
     reset_default_engine,
 )
 
-# Importing the sharding module registers the "sharded" backend, which is how
-# it joins the contract suite's backend matrix automatically.
-from repro.hypergraph.sharding import ShardedBackend, ShardMap, make_shard_map
-
 __all__ = [
     "Hypergraph",
     "hypergraph_propagation_operator",
@@ -66,7 +61,6 @@ __all__ = [
     "get_default_engine",
     "reset_default_engine",
     "DISTANCE_COUNTERS",
-    "knn_against_corpus",
     "knn_indices",
     "knn_indices_bruteforce",
     "knn_query_rows",
@@ -75,9 +69,6 @@ __all__ = [
     "ExactBackend",
     "IncrementalBackend",
     "LSHBackend",
-    "ShardedBackend",
-    "ShardMap",
-    "make_shard_map",
     "available_neighbor_backends",
     "register_neighbor_backend",
     "resolve_backend",

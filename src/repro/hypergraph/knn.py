@@ -138,11 +138,11 @@ def _validate(
     Returns ``(features, k)``.  By default an infeasible ``k`` raises — the
     historical contract, pinned by the backend suite.  With ``clamp_k=True``
     the requested ``k`` is reduced to the largest feasible value instead,
-    which is what churned serving sessions need: after heavy deletion a shard
-    (or the whole session) can drop below ``k + 1`` rows, and the refresh
-    should degrade to "every survivor is a neighbour" rather than crash the
-    writer.  A population with no feasible neighbour at all (``n == 0``, or
-    ``n == 1`` without ``include_self``) still raises.
+    which is what churned serving sessions need: after heavy deletion a
+    session can drop below ``k + 1`` rows, and the refresh should degrade to
+    "every survivor is a neighbour" rather than crash the writer.  A
+    population with no feasible neighbour at all (``n == 0``, or ``n == 1``
+    without ``include_self``) still raises.
     """
     features = as_feature_matrix(features)
     n = features.shape[0]
@@ -284,71 +284,6 @@ def knn_query_rows(
         _topk_rows(slab, k, out=out)
         distances[start : start + chunk.shape[0]] = np.take_along_axis(slab, out, axis=1)
     return indices, distances
-
-
-def knn_against_corpus(
-    queries: np.ndarray,
-    corpus: np.ndarray,
-    t: int,
-    *,
-    metric: str = "euclidean",
-    block_size: int | None = None,
-    corpus_ids: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-``t`` members of ``corpus`` for every row of ``queries``.
-
-    The asymmetric primitive of the sharded backend
-    (:mod:`repro.hypergraph.sharding`): each shard is a *corpus* slice of the
-    node set, and every query row ranks that slice independently.  Returns
-    ``(indices, distances)``, both ``(len(queries), t)``, ordered by the
-    documented ``(distance, index)`` tie-break.
-
-    ``corpus_ids`` optionally maps corpus rows back to global node ids; it
-    must be **strictly increasing** so that the local-column tie-break used
-    by the top-``t`` selection coincides with the global-id tie-break — this
-    is what makes a per-shard top-``t`` merge bit-identical to an unsharded
-    search (shard member lists come from ``np.flatnonzero``, which is sorted
-    by construction).  No self-exclusion happens here: a query that is itself
-    a corpus member ranks itself at distance zero, and callers drop it after
-    merging.
-    """
-    queries = as_feature_matrix(queries)
-    corpus = as_feature_matrix(corpus)
-    if queries.dtype != corpus.dtype:
-        raise ValueError(
-            f"queries ({queries.dtype}) and corpus ({corpus.dtype}) dtypes must match"
-        )
-    if queries.shape[1] != corpus.shape[1]:
-        raise ShapeError(
-            f"queries have {queries.shape[1]} columns, corpus has {corpus.shape[1]}"
-        )
-    m = corpus.shape[0]
-    if t <= 0 or t > m:
-        raise ValueError(f"t={t} must be in [1, {m}] for a corpus of {m} rows")
-    if corpus_ids is None:
-        corpus_ids = np.arange(m, dtype=np.int64)
-    else:
-        corpus_ids = np.asarray(corpus_ids, dtype=np.int64)
-        if corpus_ids.shape != (m,):
-            raise ShapeError(f"corpus_ids must have shape ({m},), got {corpus_ids.shape}")
-        if m > 1 and np.any(np.diff(corpus_ids) <= 0):
-            raise ValueError("corpus_ids must be strictly increasing")
-    if block_size is None:
-        block_size = DEFAULT_BLOCK_SIZE
-    block_size = int(block_size)
-    if block_size <= 0:
-        raise ValueError(f"block_size must be positive, got {block_size}")
-
-    n_queries = queries.shape[0]
-    local = np.empty((n_queries, t), dtype=np.int64)
-    distances = np.empty((n_queries, t), dtype=queries.dtype)
-    for start in range(0, n_queries, block_size):
-        stop = min(start + block_size, n_queries)
-        slab = distance_block(queries[start:stop], corpus, metric=metric)
-        out = local[start:stop]
-        _topk_rows(slab, t, out=out)
-        distances[start:stop] = np.take_along_axis(slab, out, axis=1)
-    return corpus_ids[local], distances
 
 
 def _topk_rows(distances: np.ndarray, k: int, out: np.ndarray) -> None:

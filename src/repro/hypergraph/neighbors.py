@@ -31,8 +31,8 @@ The backend contract (pinned per-backend by
   (including empty feature matrices) raise :class:`ValueError` — every
   backend shares the kernel's validator.  ``query(..., clamp_k=True)`` opts
   into clamping an infeasible ``k`` to the population limit instead (the
-  small-population escape hatch churned serving sessions and small shards
-  rely on); a population with no feasible neighbour at all still raises;
+  small-population escape hatch churned serving sessions rely on); a
+  population with no feasible neighbour at all still raises;
 * ``update(moved_mask, features)`` lets callers push an explicit movement
   hint into stateful backends; stateless backends return ``None``;
 * ``delete(keep_mask)`` shrinks stateful backends' cached rows to a keep

@@ -2,8 +2,8 @@
 
 The serving stack (:mod:`repro.serving`) reports every operational signal —
 request counts and latencies, requests in flight and load shed, WAL
-append/fsync cost, publish and checkpoint duration, shard repair fan-out,
-cache hit rates — through one :class:`MetricsRegistry`.
+append/fsync cost, publish and checkpoint duration, cache hit rates —
+through one :class:`MetricsRegistry`.
 The registry is deliberately small and dependency-free:
 
 * **Counters** are monotonic floats, optionally labelled

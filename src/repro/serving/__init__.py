@@ -16,12 +16,6 @@ The serving layer turns a trained model into a deployable artefact:
 * :class:`Generation` — one forward frozen into read-only arrays (labels
   computed once, logits, embeddings, alive mask); every query, direct or
   over HTTP, is :meth:`Generation.answer` on one of them;
-* :class:`ShardedSession` — the same session over a k-means-partitioned
-  node set: per-shard neighbour state with scoped repairs, mutations
-  routed by a persisted shard map (``repro export --shards N``), and a
-  rebalance on :meth:`InferenceSession.compact`; cross-shard answers are
-  merged deterministically and stay bit-identical to the unsharded exact
-  backend at every shard count;
 * :class:`ServingServer` (``repro.serving.server``) — an asyncio HTTP/JSON
   front-end over a :class:`SessionPool`: reads are answered inline from the
   current published generation, a single-writer mutation path republishes
@@ -74,7 +68,7 @@ from repro.serving.server import (
     SessionPool,
     WriterQuarantinedError,
 )
-from repro.serving.session import Generation, InferenceSession, ShardedSession
+from repro.serving.session import Generation, InferenceSession
 from repro.serving.store import OperatorStore, pack_hypergraph, unpack_hypergraph
 from repro.serving.wal import (
     WAL_HEADER,
@@ -95,7 +89,6 @@ __all__ = [
     "ServerConfig",
     "ServingServer",
     "SessionPool",
-    "ShardedSession",
     "TopologySlot",
     "WAL_HEADER",
     "WALCorruptionError",

@@ -47,7 +47,6 @@ from repro.hypergraph.neighbors import (
     NeighborBackend,
 )
 from repro.hypergraph.refresh import TopologyRefreshEngine
-from repro.hypergraph.sharding import ShardedBackend
 from repro.precision import precision as precision_scope
 from repro.serving.store import OperatorStore, pack_hypergraph, unpack_hypergraph
 
@@ -71,8 +70,6 @@ def backend_from_cache_key(key: tuple | list) -> NeighborBackend:
         return LSHBackend(
             n_tables=int(key[1]), hash_bits=hash_bits, n_probes=int(key[3]), seed=int(key[4])
         )
-    if key and key[0] == "sharded":
-        return ShardedBackend(n_shards=int(key[1]), seed=int(key[2]))
     raise ConfigurationError(f"cannot reconstruct a backend from cache key {key!r}")
 
 
@@ -84,7 +81,7 @@ def prime_backend(plan: Any, features: np.ndarray, backend: NeighborBackend) -> 
     instead of rebuilding.  Returns the number of slots that needed a query;
     stateless backends and plans without slots are a no-op.
     """
-    if not isinstance(backend, (IncrementalBackend, ShardedBackend)) or not plan.slots:
+    if not isinstance(backend, IncrementalBackend) or not plan.slots:
         return 0
     layer_inputs, _ = plan.run(features)
     primed = 0

@@ -66,7 +66,6 @@ import numpy as np
 
 from repro.analysis.sanitize import guard_attrs
 from repro.errors import ConfigurationError
-from repro.hypergraph.sharding import ShardedBackend
 from repro.obs.metrics import get_registry
 from repro.precision import resolve_dtype
 from repro.obs.tracing import (
@@ -79,7 +78,7 @@ from repro.obs.tracing import (
 )
 from repro.serving.faults import declare_fault_point, fault_point
 from repro.serving.frozen import FrozenModel
-from repro.serving.session import Generation, InferenceSession, ShardedSession
+from repro.serving.session import Generation, InferenceSession
 from repro.serving.wal import WALRecord, WriteAheadLog
 from repro.utils.logging import get_logger, log_event
 from repro.utils.profiling import OpProfiler
@@ -172,8 +171,6 @@ class ServerConfig:
     wal_path: str | Path | None = None
     wal_fsync: bool = True
     write_timeout_s: float | None = 120.0
-    shards: int | None = None
-    refresh_workers: int | None = None
     #: Fraction of traced requests whose span breakdown is emitted as a
     #: structured JSON log line (``repro.serving.trace``); requests slower
     #: than ``slow_ms`` are always logged regardless of the sample rate.
@@ -185,12 +182,6 @@ class ServerConfig:
     profile: bool = False
 
     def __post_init__(self) -> None:
-        if self.shards is not None and self.shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
-        if self.refresh_workers is not None and self.refresh_workers < 1:
-            raise ConfigurationError(
-                f"refresh_workers must be >= 1, got {self.refresh_workers}"
-            )
         if self.max_queue_depth < 1:
             raise ConfigurationError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
@@ -247,28 +238,9 @@ class SessionPool:
         checkpoint_path: str | Path | None = None,
         wal_path: str | Path | None = None,
         wal_fsync: bool = True,
-        shards: int | None = None,
-        refresh_workers: int | None = None,
     ) -> None:
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
-        # A pool is sharded when asked explicitly (``shards=``) or when the
-        # bundle itself is — a persisted shard map or a restored sharded
-        # backend.  Recovery and checkpointing are inherited unchanged
-        # because ShardedSession is a drop-in InferenceSession.
-        sharded = (
-            shards is not None
-            or frozen.meta.get("shard_map") is not None
-            or isinstance(frozen.engine.backend, ShardedBackend)
-        )
-        if sharded:
-            self.writer: InferenceSession = ShardedSession(
-                frozen,
-                cluster_assignment=cluster_assignment,
-                n_shards=shards,
-                refresh_workers=refresh_workers,
-            )
-        else:
-            self.writer = InferenceSession(frozen, cluster_assignment=cluster_assignment)
+        self.writer = InferenceSession(frozen, cluster_assignment=cluster_assignment)
         # Mutable pool state lives behind this lock: mutations run in
         # executor threads while the event loop reads the current generation
         # and telemetry, so every access goes through a locked property or
@@ -611,7 +583,6 @@ class SessionPool:
                 "refreshes": self.writer.refreshes,
                 "forwards": self.writer.forwards,
                 "compactions": self.writer.compactions,
-                "sharded": isinstance(self.writer, ShardedSession),
             },
         }
 
@@ -692,8 +663,6 @@ class ServingServer:
             checkpoint_path=self.config.checkpoint_path,
             wal_path=self.config.wal_path,
             wal_fsync=self.config.wal_fsync,
-            shards=self.config.shards,
-            refresh_workers=self.config.refresh_workers,
         )
         self.recovered = self.pool.recover()
         # Writes only (reads are answered on the event loop).  The write lock
@@ -729,9 +698,9 @@ class ServingServer:
         """Register the server's instrument families and the scrape collector.
 
         Counters mirroring sources that keep their own cumulative totals
-        (operator cache, neighbour memo, shard backend, the ``--profile``
-        profiler) are refreshed by :meth:`_collect_metrics` right before
-        every ``/metrics`` / ``/stats`` render, same code path as
+        (operator cache, neighbour memo, the ``--profile`` profiler) are
+        refreshed by :meth:`_collect_metrics` right before every
+        ``/metrics`` / ``/stats`` render, same code path as
         ``/healthz`` — one source of truth per number.
         """
         registry = self.registry = get_registry()
@@ -778,28 +747,6 @@ class ServingServer:
         self._cache_mirrors = {
             key: registry.counter(name, help) for key, (name, help) in mirrors.items()
         }
-        shard_mirrors = {
-            "full_rebuilds": (
-                "repro_shard_full_rebuilds_total", "Whole-corpus shard rebuilds",
-            ),
-            "shard_requeries": (
-                "repro_shard_requeries_total", "Per-shard re-rank passes",
-            ),
-            "rows_requeried": (
-                "repro_shard_rows_requeried_total", "Rows re-ranked across shards",
-            ),
-            "rebalances": ("repro_shard_rebalances_total", "Shard-map rebalances"),
-            "repair_calls": (
-                "repro_shard_repairs_total", "Mover-repair invocations",
-            ),
-        }
-        self._shard_mirrors = {
-            key: registry.counter(name, help)
-            for key, (name, help) in shard_mirrors.items()
-        }
-        self._gauge_shard_size = registry.gauge(
-            "repro_shard_size", "Rows per shard", ("shard",)
-        )
         self._metric_op_seconds = registry.counter(
             "repro_op_seconds_total",
             "Per-stage serving seconds recorded by --profile",
@@ -849,13 +796,6 @@ class ServingServer:
         for key, counter in self._cache_mirrors.items():
             counter.set_total(engine[key])
         gauges["cache_bytes"].set(engine["bytes"])
-        backend = self.pool.writer.backend
-        if isinstance(backend, ShardedBackend):
-            shard_stats = backend.stats()
-            for key, counter in self._shard_mirrors.items():
-                counter.set_total(shard_stats[key])
-            for index, size in enumerate(shard_stats["shard_sizes"]):
-                self._gauge_shard_size.set(size, shard=str(index))
         if self.profiler is not None:
             for name, op_record in list(self.profiler.records.items()):
                 self._metric_op_seconds.set_total(op_record.forward_seconds, op=name)
@@ -935,7 +875,6 @@ class ServingServer:
                 "max_queue_depth": self.config.max_queue_depth,
                 "write_timeout_s": self.config.write_timeout_s,
                 "wal": self.config.wal_path is not None,
-                "shards": self.config.shards,
                 "trace_sample_rate": self.config.trace_sample_rate,
                 "slow_ms": self.config.slow_ms,
                 "profile": self.config.profile,

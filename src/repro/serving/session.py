@@ -66,7 +66,6 @@ from repro.hypergraph.kmeans import assign_to_centroids
 from repro.hypergraph.laplacian import compactness_hyperedge_weights
 from repro.hypergraph.neighbors import IncrementalBackend
 from repro.hypergraph.refresh import OperatorCache, TopologyRefreshEngine
-from repro.hypergraph.sharding import ShardedBackend, ShardMap, make_shard_map
 from repro.obs.tracing import span
 from repro.serving.faults import declare_fault_point, fault_point
 from repro.serving.frozen import FrozenModel, TopologySlot, _DHGCNPlan, _ModulePlan
@@ -196,8 +195,17 @@ class Generation:
         return result[0] if scalar else result
 
 
-def _clone_incremental(backend: IncrementalBackend) -> IncrementalBackend:
-    """Private copy of an incremental backend including its cached states."""
+def _private_backend_copy(backend: Any) -> Any:
+    """A session-private copy of ``backend`` when it is the built-in stateful one.
+
+    The incremental backend carries cached neighbour state that the session
+    mutates in place, so it is cloned together with its states; every other
+    instance passes through shared
+    (:func:`~repro.hypergraph.neighbors.resolve_backend`'s explicit-sharing
+    rule for custom backends).
+    """
+    if not isinstance(backend, IncrementalBackend):
+        return backend
     clone = IncrementalBackend(
         tolerance=backend.tolerance,
         churn_threshold=backend.churn_threshold,
@@ -206,21 +214,6 @@ def _clone_incremental(backend: IncrementalBackend) -> IncrementalBackend:
     )
     clone.import_states(backend.export_states())
     return clone
-
-
-def _private_backend_copy(backend: Any) -> Any:
-    """A session-private copy of ``backend`` when it is a built-in stateful one.
-
-    The incremental and sharded backends carry cached neighbour state that
-    the session mutates in place; every other instance passes through shared
-    (:func:`~repro.hypergraph.neighbors.resolve_backend`'s explicit-sharing
-    rule for custom backends).
-    """
-    if isinstance(backend, IncrementalBackend):
-        return _clone_incremental(backend)
-    if isinstance(backend, ShardedBackend):
-        return backend.clone()
-    return backend
 
 
 def _seeded_private_cache(source: OperatorCache) -> OperatorCache:
@@ -280,7 +273,7 @@ class InferenceSession:
         self.plan = frozen.plan.clone()
         # Private copy: this session's insertions/updates/deletions must not
         # touch the frozen model's (or a sibling session's) state.
-        backend = self._resolve_backend(frozen)
+        backend = _private_backend_copy(frozen.engine.backend)
         # Private engine + operator cache: sessions with diverging node sets
         # must not pollute one cache or evict each other's operators under a
         # shared byte budget.  The cache is seeded from the frozen model's
@@ -319,17 +312,6 @@ class InferenceSession:
         self.refreshes = 0
         self.compactions = 0
         self.reassignments = 0
-
-    def _resolve_backend(self, frozen: FrozenModel) -> Any:
-        """The session's private neighbour backend (subclass hook).
-
-        The base session adopts the frozen model's backend, cloning the
-        built-in stateful ones (incremental, sharded) so sibling sessions
-        stay isolated; :class:`ShardedSession` overrides this to build or
-        restore a :class:`~repro.hypergraph.sharding.ShardedBackend` from the
-        bundle's shard map.
-        """
-        return _private_backend_copy(frozen.engine.backend)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -654,7 +636,6 @@ class InferenceSession:
         # The tombstone refresh above already shrank the backend states, so
         # the tracked rows are exactly the survivors — re-number them.
         self._state_ids = remap[self._state_ids]
-        self._rebalance_after_compact()
         self._mark_stale()
         self._refresh()
         self.compactions += 1
@@ -696,35 +677,6 @@ class InferenceSession:
         self._ensure_fresh()
         return self._reassign_moves
 
-    def prime(self) -> int:
-        """Synchronise incremental neighbour state with the serving embeddings.
-
-        Runs one forward and queries each dynamic slot's embedding once
-        (unless a bit-matching state already exists), so that subsequent
-        insertions and updates repair instead of rebuilding.  Called by the
-        export hook before saving a bundle — a *loaded* bundle is then
-        already primed and this is a no-op.  Returns the number of slots that
-        needed a priming query.
-        """
-        if not isinstance(self.backend, (IncrementalBackend, ShardedBackend)):
-            return 0
-        if not self._slots:
-            return 0
-        self._ensure_fresh()
-        alive = self.alive_ids
-        primed = 0
-        for position, slot in self._slots.items():
-            if not slot.use_knn:
-                continue
-            embedding = self._layer_inputs[position]
-            if alive.size != embedding.shape[0]:
-                embedding = embedding[alive]
-            k = min(slot.k_neighbors, max(embedding.shape[0] - 1, 1))
-            if not self.backend.has_matching_state(embedding, k):
-                self.backend.query(embedding, k)
-                primed += 1
-        return primed
-
     def to_frozen(self) -> FrozenModel:
         """Snapshot the session's current state as a new :class:`FrozenModel`.
 
@@ -765,15 +717,6 @@ class InferenceSession:
     # ------------------------------------------------------------------ #
     # Refresh pipeline
     # ------------------------------------------------------------------ #
-    def _rebalance_after_compact(self) -> None:
-        """Subclass hook between the compaction id-remap and its refresh.
-
-        Runs with the feature matrix already shrunk to the survivors and the
-        backend states re-numbered, before the cascade rebuilds the
-        topology.  :class:`ShardedSession` re-partitions here so shard sizes
-        track the surviving population.
-        """
-
     def _mark_stale(self) -> None:
         self._stale_outputs = True
         if not isinstance(self.plan, _ModulePlan):
@@ -879,7 +822,7 @@ class InferenceSession:
 
     def _neighbor_rows(self, slot: TopologySlot, embedding: np.ndarray, k: int) -> np.ndarray:
         """(n_alive, k) neighbour lists; ``embedding`` holds alive rows only."""
-        if isinstance(self.backend, (IncrementalBackend, ShardedBackend)):
+        if isinstance(self.backend, IncrementalBackend):
             if self._inserted:
                 # Grow the matching cached state by the appended rows —
                 # O(m·n) exact repair instead of a full rebuild (falls back
@@ -893,7 +836,6 @@ class InferenceSession:
                     except ConfigurationError:
                         # No prior state of this shape — cold start below.
                         pass
-            return self.backend.query(embedding, k)
         return self.backend.query(embedding, k)
 
     def _refresh_slot(
@@ -1060,146 +1002,3 @@ class InferenceSession:
             plan.reweighted_static, reweighted, dtype=self.frozen.dtype
         )
         plan.reweighted_static = reweighted
-
-
-class ShardedSession(InferenceSession):
-    """An :class:`InferenceSession` whose k-NN state is partitioned by shard.
-
-    The node set is split into k-means shards (a
-    :class:`~repro.hypergraph.sharding.ShardMap`) and every neighbour query,
-    insertion, feature update and deletion is routed through a
-    :class:`~repro.hypergraph.sharding.ShardedBackend`: each shard keeps its
-    own candidate lists, repairs are scoped to the shards a mutation can have
-    invalidated, and cross-shard answers are merged with the documented
-    deterministic ``(distance, node index)`` tie-break — **bit-identical** to
-    the unsharded exact backend for float64 models, so a sharded and an
-    unsharded session given the same mutation sequence serve the same bytes.
-    Because answers are partition-independent, :meth:`compact` can freely
-    re-partition (see below) without changing anything a client observes.
-
-    The shard map comes from, in priority order:
-
-    1. an explicit ``shard_map`` argument;
-    2. a ``ShardedBackend`` already attached to the frozen model (a bundle
-       saved by a sharded session restores this way, states included);
-    3. ``frozen.meta["shard_map"]`` — the persisted map a bundle exported
-       with ``repro export --shards N`` carries;
-    4. a fresh k-means partition of the frozen features into ``n_shards``
-       (default :attr:`ShardedBackend.DEFAULT_N_SHARDS`) shards.
-
-    Lifecycle integration:
-
-    * :meth:`compact` **rebalances**: after the old→new id remap it re-fits
-      the shard map over the surviving nodes, so shards never degenerate
-      under churn.  The following refresh rebuilds the per-shard lists (in
-      the process pool when ``refresh_workers`` is set) — answers are
-      unchanged by partition-independence.
-    * :meth:`to_frozen` persists the current shard map into the snapshot's
-      ``meta["shard_map"]``, so a bundle round-trip stays sharded.
-
-    Parameters
-    ----------
-    n_shards:
-        Target shard count when a fresh partition is computed.  ``None``
-        accepts whatever the bundle / backend carries (or the default for a
-        cold start).  A bundle map with a *different* shard count than an
-        explicit ``n_shards`` is discarded and re-partitioned.
-    shard_map:
-        Explicit partition; overrides everything else.
-    seed:
-        k-means seed for fresh partitions (and rebalances).
-    refresh_workers:
-        When set, per-shard candidate rebuilds run in a process pool of this
-        size — shards are independent row blocks, so full rebuilds (cold
-        start, rebalance, churn past the threshold) parallelise across
-        processes.  ``None`` keeps rebuilds serial.
-    """
-
-    def __init__(
-        self,
-        frozen: FrozenModel,
-        *,
-        cluster_assignment: str = "nearest",
-        n_shards: int | None = None,
-        shard_map: ShardMap | None = None,
-        seed: int = 0,
-        refresh_workers: int | None = None,
-    ) -> None:
-        if n_shards is not None and n_shards < 1:
-            raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
-        # Stashed before super().__init__, which calls _resolve_backend().
-        self._shard_spec = (n_shards, shard_map, int(seed), refresh_workers)
-        super().__init__(frozen, cluster_assignment=cluster_assignment)
-
-    def _resolve_backend(self, frozen: FrozenModel) -> ShardedBackend:
-        n_shards, shard_map, seed, workers = self._shard_spec
-        source = frozen.engine.backend
-        if isinstance(source, ShardedBackend):
-            backend = source.clone()
-            if workers is not None:
-                backend.workers = workers
-            if shard_map is not None:
-                backend.set_shard_map(shard_map)
-            elif backend.shard_map is None:
-                meta = frozen.meta.get("shard_map")
-                candidate = ShardMap.from_meta(meta) if meta is not None else None
-                if candidate is None or candidate.n_nodes != frozen.features.shape[0]:
-                    candidate = make_shard_map(
-                        frozen.features, backend.n_shards, seed=backend.seed
-                    )
-                # Keep the bundle's warm per-shard states: the map is only a
-                # rebalance/bookkeeping input, never a correctness one.
-                backend.set_shard_map(candidate, drop_states=False)
-            return backend
-        if shard_map is None:
-            meta = frozen.meta.get("shard_map")
-            if meta is not None:
-                candidate = ShardMap.from_meta(meta)
-                # A stale map (node count drifted) or a conflicting explicit
-                # shard count falls through to a fresh partition.
-                if candidate.n_nodes == frozen.features.shape[0] and (
-                    n_shards is None or n_shards == candidate.n_shards
-                ):
-                    shard_map = candidate
-        elif shard_map.n_nodes != frozen.features.shape[0]:
-            raise ConfigurationError(
-                f"shard map covers {shard_map.n_nodes} nodes but the frozen "
-                f"model has {frozen.features.shape[0]}"
-            )
-        if shard_map is None:
-            shard_map = make_shard_map(
-                frozen.features,
-                n_shards if n_shards is not None else ShardedBackend.DEFAULT_N_SHARDS,
-                seed=seed,
-            )
-        return ShardedBackend(
-            n_shards=shard_map.n_shards,
-            shard_map=shard_map,
-            seed=seed,
-            block_size=frozen.engine.block_size,
-            workers=workers,
-        )
-
-    def _rebalance_after_compact(self) -> None:
-        backend = self.backend
-        if not isinstance(backend, ShardedBackend):
-            return
-        # Fresh k-means over the survivors; dropping the per-shard states is
-        # deliberate — the compaction refresh full-rebuilds them under the
-        # new partition (in the process pool when refresh_workers is set),
-        # and partition-independence keeps every answer bit-identical.
-        backend.set_shard_map(
-            make_shard_map(self._features, backend.n_shards, seed=backend.seed)
-        )
-
-    def to_frozen(self) -> FrozenModel:
-        frozen = super().to_frozen()
-        if isinstance(self.backend, ShardedBackend) and self.backend.shard_map is not None:
-            frozen.meta["shard_map"] = self.backend.shard_map.to_meta()
-        return frozen
-
-    def close(self) -> None:
-        """Release the backend's process pool (no-op when rebuilds are serial)."""
-        close_hook = getattr(self.backend, "close", None)
-        if callable(close_hook):
-            close_hook()

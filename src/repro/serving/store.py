@@ -44,7 +44,6 @@ from repro.errors import ConfigurationError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.neighbors import IncrementalBackend, NeighborBackend
 from repro.hypergraph.refresh import OperatorCache
-from repro.hypergraph.sharding import ShardedBackend
 from repro.obs.metrics import get_registry
 from repro.serving.faults import declare_fault_point, fault_point
 from repro.utils.io import pack_csr, unpack_csr
@@ -270,11 +269,8 @@ class OperatorStore:
     def capture_backend(self, backend: NeighborBackend) -> None:
         """Record a backend's identity and (if stateful) cached states.
 
-        The incremental backend's states flatten to one array group each;
-        the sharded backend's additionally carry the per-shard candidate
-        lists (``shard{j}_ids`` / ``shard{j}_distances``) plus the partition
-        assignment and insert-routing centroids, so a reload serves warm —
-        zero distance computations — exactly like the incremental bundle.
+        The incremental backend's states flatten to one array group each, so
+        a reload serves warm — zero distance computations.
         """
         description: dict[str, Any] = {"cache_key": list(backend.cache_key())}
         if isinstance(backend, IncrementalBackend):
@@ -291,24 +287,6 @@ class OperatorStore:
                 )
                 signatures.append(list(state["signature"]))
             description["state_signatures"] = signatures
-        elif isinstance(backend, ShardedBackend):
-            signatures = []
-            shard_counts = []
-            for index, state in enumerate(backend.export_states()):
-                arrays = {
-                    "features": state["features"],
-                    "assignment": state["assignment"],
-                    "centroids": state["centroids"],
-                    "centroid_shards": state["centroid_shards"],
-                }
-                for j, shard in enumerate(state["shards"]):
-                    arrays[f"shard{j}_ids"] = shard["ids"]
-                    arrays[f"shard{j}_distances"] = shard["distances"]
-                self.put_group(f"backend_state{index}", arrays)
-                signatures.append(list(state["signature"]))
-                shard_counts.append(len(state["shards"]))
-            description["state_signatures"] = signatures
-            description["state_shard_counts"] = shard_counts
         self.meta["backend"] = description
 
     def restore_backend(self, backend: NeighborBackend) -> int:
@@ -340,29 +318,6 @@ class OperatorStore:
                         "features": group["features"],
                         "indices": group["indices"],
                         "distances": group["distances"],
-                    }
-                )
-            backend.import_states(states)
-            return len(states)
-        if isinstance(backend, ShardedBackend):
-            shard_counts = description.get("state_shard_counts", [])
-            states = []
-            for index, signature in enumerate(description.get("state_signatures", [])):
-                group = self.get_group(f"backend_state{index}")
-                states.append(
-                    {
-                        "signature": tuple(signature),
-                        "features": group["features"],
-                        "assignment": group["assignment"],
-                        "centroids": group["centroids"],
-                        "centroid_shards": group["centroid_shards"],
-                        "shards": [
-                            {
-                                "ids": group[f"shard{j}_ids"],
-                                "distances": group[f"shard{j}_distances"],
-                            }
-                            for j in range(int(shard_counts[index]))
-                        ],
                     }
                 )
             backend.import_states(states)

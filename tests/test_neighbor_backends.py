@@ -760,8 +760,8 @@ class TestLSHBackend:
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("name", BACKENDS)
 class TestClampK:
-    """After heavy deletion a population (or a shard) routinely drops below
-    ``k + 1`` rows; ``clamp_k=True`` degrades to "every survivor is a
+    """After heavy deletion a population routinely drops below ``k + 1``
+    rows; ``clamp_k=True`` degrades to "every survivor is a
     neighbour" instead of raising, without touching the strict default."""
 
     def test_clamped_query_equals_exact_at_feasible_k(self, name):
@@ -812,233 +812,6 @@ class TestClampK:
         grown = np.vstack([survivors, _clustered_features(45, n=12, d=6)])
         result = backend.query(grown, k, clamp_k=True)
         assert np.array_equal(result, knn_indices_bruteforce(grown, k))
-
-
-# --------------------------------------------------------------------------- #
-# ShardedBackend: cross-shard merge bit-identity
-# --------------------------------------------------------------------------- #
-class TestShardedBackend:
-    """The sharded backend is *exact*: per-shard top-t merged by the
-    documented (distance, id) tie-break must be bit-identical to brute force
-    for any shard count, through every lifecycle path."""
-
-    @pytest.mark.parametrize("n_shards", [1, 2, 4])
-    def test_query_bit_identical_to_exact(self, n_shards):
-        from repro.hypergraph import ShardedBackend
-
-        features = _clustered_features(50, n=120, d=8)
-        backend = ShardedBackend(n_shards=n_shards)
-        assert np.array_equal(
-            backend.query(features, 6), knn_indices_bruteforce(features, 6)
-        )
-        assert np.array_equal(
-            backend.query(features, 6, include_self=True),
-            knn_indices_bruteforce(features, 6, include_self=True),
-        )
-
-    @pytest.mark.parametrize("n_shards", [1, 2, 4])
-    def test_lifecycle_bit_identical_to_exact(self, n_shards):
-        # Move, insert and delete in sequence; every intermediate answer
-        # must match brute force on the current node set.
-        from repro.hypergraph import ShardedBackend
-
-        rng = np.random.default_rng(51)
-        features = _clustered_features(51, n=90, d=7)
-        backend = ShardedBackend(n_shards=n_shards)
-        k = 5
-        assert np.array_equal(
-            backend.query(features, k), knn_indices_bruteforce(features, k)
-        )
-        # scoped mover repair
-        moved = features.copy()
-        movers = rng.choice(90, size=6, replace=False)
-        moved[movers] += rng.normal(scale=0.3, size=(6, 7))
-        assert np.array_equal(
-            backend.query(moved, k), knn_indices_bruteforce(moved, k)
-        )
-        # grow-and-repair
-        grown = np.vstack([moved, rng.normal(scale=4.0, size=(12, 7))])
-        assert backend.insert(grown)
-        assert np.array_equal(
-            backend.query(grown, k), knn_indices_bruteforce(grown, k)
-        )
-        # shrink-and-repair
-        keep = np.ones(grown.shape[0], dtype=bool)
-        keep[rng.choice(grown.shape[0], size=10, replace=False)] = False
-        assert backend.delete(keep) == 1
-        shrunk = grown[keep]
-        assert np.array_equal(
-            backend.query(shrunk, k), knn_indices_bruteforce(shrunk, k)
-        )
-
-    def test_duplicate_points_across_shards_tie_break(self):
-        # Identical points land in one k-means cell, but force them across
-        # shards via an explicit map: the merge must still produce the
-        # documented unique (distance, id) order when every distance ties.
-        from repro.hypergraph import ShardedBackend, ShardMap
-
-        features = np.ones((12, 4))
-        shard_map = ShardMap(
-            np.arange(12, dtype=np.int64) % 3, np.ones((3, 4), dtype=np.float64)
-        )
-        backend = ShardedBackend(n_shards=3, shard_map=shard_map)
-        assert np.array_equal(
-            backend.query(features, 3), knn_indices_bruteforce(features, 3)
-        )
-
-    def test_partition_independence(self):
-        # Different seeds produce different partitions; answers must not move.
-        from repro.hypergraph import ShardedBackend
-
-        features = _clustered_features(52, n=100, d=6)
-        results = [
-            ShardedBackend(n_shards=4, seed=seed).query(features, 7)
-            for seed in (0, 1, 2)
-        ]
-        assert np.array_equal(results[0], results[1])
-        assert np.array_equal(results[0], results[2])
-
-    def test_rebalance_never_changes_answers(self):
-        from repro.hypergraph import ShardedBackend, make_shard_map
-
-        features = _clustered_features(53, n=80, d=6)
-        backend = ShardedBackend(n_shards=2)
-        before = backend.query(features, 5)
-        backend.set_shard_map(make_shard_map(features, 7, seed=9))
-        after = backend.query(features, 5)
-        assert np.array_equal(before, after)
-        assert backend.rebalances == 1
-
-    def test_more_shards_than_feasible_population(self):
-        # Shard populations smaller than k + 1: per-shard t clamps to |s|
-        # and the merge still recovers the global top-k.
-        from repro.hypergraph import ShardedBackend
-
-        features = _clustered_features(54, n=20, d=5)
-        backend = ShardedBackend(n_shards=8)
-        assert np.array_equal(
-            backend.query(features, 6), knn_indices_bruteforce(features, 6)
-        )
-
-    def test_scoped_repair_touches_fewer_rows_than_rebuild(self):
-        from repro.hypergraph import ShardedBackend
-
-        features = _clustered_features(55, n=200, d=8)
-        backend = ShardedBackend(n_shards=4)
-        backend.query(features, 5)
-        baseline = backend.rows_requeried
-        moved = features.copy()
-        moved[3] += 0.05
-        backend.query(moved, 5)
-        assert backend.partial_refreshes == 1
-        assert backend.full_rebuilds == 1
-        assert 0 < backend.rows_requeried - baseline < 200
-
-    def test_export_import_clone_round_trip(self):
-        from repro.hypergraph import ShardedBackend
-
-        features = _clustered_features(56, n=60, d=6)
-        backend = ShardedBackend(n_shards=3)
-        expected = backend.query(features, 4)
-        twin = backend.clone()
-        assert np.array_equal(twin.query(features, 4), expected)
-        assert twin.full_rebuilds == 0  # served from the cloned state
-        other = ShardedBackend(n_shards=3)
-        other.import_states(backend.export_states())
-        assert np.array_equal(other.query(features, 4), expected)
-        assert other.full_rebuilds == 0
-
-    def test_float32_served_exactly_without_states(self):
-        # float32 kernel values depend on operand centring, so sharded slabs
-        # are not substitution-safe; the query must fall back to the exact
-        # full kernel and keep no sharded state.
-        from repro.hypergraph import ShardedBackend
-
-        features = _clustered_features(57, n=40, d=6).astype(np.float32)
-        backend = ShardedBackend(n_shards=4)
-        assert np.array_equal(
-            backend.query(features, 5), knn_indices_bruteforce(features, 5)
-        )
-        assert backend.stats()["states"] == 0
-        assert not backend.insert(features)
-
-    def test_update_with_mover_hint(self):
-        from repro.hypergraph import ShardedBackend
-
-        features = _clustered_features(58, n=70, d=6)
-        backend = ShardedBackend(n_shards=2)
-        backend.query(features, 4)
-        moved = features.copy()
-        moved[10] += 0.2
-        mask = np.zeros(70, dtype=bool)
-        mask[10] = True
-        assert np.array_equal(
-            backend.update(mask, moved), knn_indices_bruteforce(moved, 4)
-        )
-        with pytest.raises(ConfigurationError):
-            ShardedBackend().update(mask, moved)
-
-    def test_delete_drops_state_when_k_becomes_infeasible(self):
-        from repro.hypergraph import ShardedBackend
-
-        features = _clustered_features(59, n=30, d=5)
-        backend = ShardedBackend(n_shards=2, churn_threshold=1.0)
-        backend.query(features, 5)
-        keep = np.zeros(30, dtype=bool)
-        keep[:4] = True  # 4 survivors < k + 1: state must be dropped
-        assert backend.delete(keep) == 0
-        assert backend.stats()["states"] == 0
-        survivors = features[:4]
-        assert np.array_equal(
-            backend.query(survivors, 5, clamp_k=True),
-            knn_indices_bruteforce(survivors, 3),
-        )
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 50),
-        n_shards=st.integers(1, 5),
-        k=st.integers(1, 8),
-    )
-    def test_property_query_matches_bruteforce(self, seed, n_shards, k):
-        from repro.hypergraph import ShardedBackend
-
-        features = _clustered_features(seed, n=40, d=5, n_clusters=4)
-        backend = ShardedBackend(n_shards=n_shards, seed=seed)
-        assert np.array_equal(
-            backend.query(features, k), knn_indices_bruteforce(features, k)
-        )
-
-    def test_invalid_parameters(self):
-        from repro.hypergraph import ShardedBackend, ShardMap, make_shard_map
-
-        with pytest.raises(ConfigurationError):
-            ShardedBackend(n_shards=0)
-        with pytest.raises(ConfigurationError):
-            ShardedBackend(churn_threshold=0.0)
-        with pytest.raises(ConfigurationError):
-            ShardedBackend(max_states=0)
-        with pytest.raises(ConfigurationError):
-            ShardedBackend(workers=0)
-        with pytest.raises(ShapeError):
-            ShardMap(np.zeros((2, 2)), np.zeros((1, 3)))
-        with pytest.raises(ConfigurationError):
-            ShardMap(np.array([0, 5]), np.zeros((2, 3)))
-        with pytest.raises(ConfigurationError):
-            make_shard_map(np.zeros((4, 2)), 0)
-        with pytest.raises(ValueError):
-            make_shard_map(np.zeros((0, 2)), 2)
-
-    def test_shard_map_meta_round_trip(self):
-        from repro.hypergraph import ShardMap, make_shard_map
-
-        features = _clustered_features(60, n=50, d=6)
-        shard_map = make_shard_map(features, 4, seed=2)
-        restored = ShardMap.from_meta(shard_map.to_meta())
-        assert np.array_equal(restored.assignment, shard_map.assignment)
-        assert np.array_equal(restored.centroids, shard_map.centroids)
-        assert restored.n_shards == shard_map.n_shards
-        assert int(restored.sizes().sum()) == 50
 
 
 # --------------------------------------------------------------------------- #

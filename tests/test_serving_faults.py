@@ -479,12 +479,9 @@ import numpy as np
 sys.path.insert(0, os.environ["CHAOS_SRC"])
 from repro.serving import FrozenModel, SessionPool
 
-shards = int(os.environ["CHAOS_SHARDS"])
 ckpt = Path(os.environ["CHAOS_CKPT"])
 frozen = FrozenModel.load(ckpt if ckpt.exists() else os.environ["CHAOS_BUNDLE"])
-kwargs = {"shards": shards} if shards else {}
-pool = SessionPool(frozen, checkpoint_path=ckpt,
-                   wal_path=os.environ["CHAOS_WAL"], **kwargs)
+pool = SessionPool(frozen, checkpoint_path=ckpt, wal_path=os.environ["CHAOS_WAL"])
 pool.recover()
 
 def rows(seed, n):
@@ -499,7 +496,7 @@ if pool.last_seq < 1:
 if pool.last_seq < 2:
     pool.update([7], rows(71, 1))  # pre-compact id again
 if pool.last_seq < 3:
-    pool.compact()                 # rebalance + checkpoint: the crash window
+    pool.compact()                 # remap + checkpoint: the crash window
 if pool.last_seq < 4:
     pool.insert(rows(73, 2))
 print("COMPLETED", pool.last_seq)
@@ -507,16 +504,14 @@ print("COMPLETED", pool.last_seq)
 
 
 @pytest.mark.chaos
-@pytest.mark.parametrize("shards", [None, 4], ids=["unsharded", "sharded"])
 @pytest.mark.parametrize("point", ["pool.before_checkpoint", "pool.after_checkpoint"])
-def test_crash_between_compact_and_wal_truncate(point, shards, bundle_path, tmp_path):
-    """``compact()`` remaps ids (and rebalances shards), checkpoints, then
-    truncates the WAL.  A crash inside that window leaves records that
-    reference *pre-compact* node ids in the journal; a restart must replay
-    them bit-identically — from the pre-compact checkpoint when the new one
-    never landed (``before_checkpoint``), or dedup them all by sequence
-    number when it did (``after_checkpoint``).  Sharded and unsharded pools
-    must both recover to the same exact state.
+def test_crash_between_compact_and_wal_truncate(point, bundle_path, tmp_path):
+    """``compact()`` remaps ids, checkpoints, then truncates the WAL.  A
+    crash inside that window leaves records that reference *pre-compact*
+    node ids in the journal; a restart must replay them bit-identically —
+    from the pre-compact checkpoint when the new one never landed
+    (``before_checkpoint``), or dedup them all by sequence number when it
+    did (``after_checkpoint``).
 
     Checkpoints are skipped while tombstones exist, so the compact's
     checkpoint is exactly the second crossing (after the one at pool init):
@@ -526,7 +521,7 @@ def test_crash_between_compact_and_wal_truncate(point, shards, bundle_path, tmp_
     def rows(seed, n, n_cols):
         return np.random.default_rng(seed).normal(size=(n, n_cols))
 
-    # Uncrashed, unsharded reference for every state the recovery must hit.
+    # Uncrashed reference for every state the recovery must hit.
     reference = SessionPool(FrozenModel.load(bundle_path))
     n_cols = reference.writer.features.shape[1]
     reference.delete([3, 11])
@@ -543,7 +538,6 @@ def test_crash_between_compact_and_wal_truncate(point, shards, bundle_path, tmp_
         CHAOS_BUNDLE=str(bundle_path),
         CHAOS_CKPT=str(ckpt),
         CHAOS_WAL=str(wal),
-        CHAOS_SHARDS=str(shards or 0),
         REPRO_FAULTS=f"{point}=crash@2",
     )
     run = subprocess.run(
@@ -556,9 +550,6 @@ def test_crash_between_compact_and_wal_truncate(point, shards, bundle_path, tmp_
     recovered = SessionPool(
         FrozenModel.load(ckpt), checkpoint_path=ckpt, wal_path=wal
     )
-    # The shard map rides the checkpoint meta: no shards= argument here, yet
-    # the recovered writer is sharded exactly when the crashed one was.
-    assert recovered.stats()["writer"]["sharded"] is (shards is not None)
     if point == "pool.before_checkpoint":
         # The compact's checkpoint never hit disk: the journal replays the
         # delete, the update and the compact on the pre-compact snapshot.
@@ -571,7 +562,7 @@ def test_crash_between_compact_and_wal_truncate(point, shards, bundle_path, tmp_
     assert not recovered.read_only, recovered.failure
     assert np.array_equal(
         recovered.writer.predict(output="logits"), after_compact
-    ), f"recovered state diverges after crash at {point!r} (shards={shards})"
+    ), f"recovered state diverges after crash at {point!r}"
 
     # Finishing the script lands on the uncrashed run's exact final state.
     recovered.insert(rows(73, 2, n_cols))

@@ -46,7 +46,8 @@ from repro import (
 )
 from repro.cli import build_parser
 from repro.errors import ConfigurationError
-from repro.serving import Generation
+from repro.hypergraph import IncrementalBackend
+from repro.serving import Generation, OperatorStore
 from repro.serving.server import (
     ServerConfig,
     ServingServer,
@@ -627,131 +628,52 @@ class TestServingServerHTTP:
             ServerConfig(max_queue_depth=0)
         with pytest.raises(ConfigurationError, match="write_timeout_s"):
             ServerConfig(write_timeout_s=0)
-        for removed in ("replicas", "batch_window_ms", "max_batch_size", "request_timeout_s"):
+        for removed in (
+            "replicas", "batch_window_ms", "max_batch_size", "request_timeout_s",
+            "shards", "refresh_workers",
+        ):
             with pytest.raises(TypeError, match=removed):
                 ServerConfig(**{removed: 1})
 
 
 # --------------------------------------------------------------------------- #
-# Sharded serving: ShardedSession + sharded SessionPool
+# Bundles left on disk by the removed sharding tier
 # --------------------------------------------------------------------------- #
-class TestShardedServing:
-    @pytest.mark.parametrize("n_shards", [1, 2, 4])
-    def test_sharded_session_lifecycle_matches_unsharded(
-        self, tiny_citation_dataset, bundle_path, n_shards
-    ):
-        from repro.serving import ShardedSession
+class TestLegacyShardedBundles:
+    def test_shard_map_meta_is_ignored(self, tmp_path, bundle_path):
+        # What `repro export --shards 2` used to write: a k-means partition
+        # in the model meta.  Nothing reads it any more.
+        frozen = FrozenModel.load(bundle_path)
+        n = frozen.features.shape[0]
+        frozen.meta["shard_map"] = {
+            "assignment": (np.arange(n) % 2).tolist(),
+            "centroids": np.zeros((2, frozen.features.shape[1])).tolist(),
+        }
+        legacy = tmp_path / "shard_map_bundle.npz"
+        frozen.save(legacy)
 
-        dataset = tiny_citation_dataset
-        plain = InferenceSession(FrozenModel.load(bundle_path))
-        sharded = ShardedSession(FrozenModel.load(bundle_path), n_shards=n_shards)
-
-        def check(stage):
-            assert np.array_equal(
-                sharded.predict(output="logits"),
-                plain.predict(output="logits"),
-            ), stage
-
-        check("fresh")
-        rows = _new_rows(dataset, 5)
-        plain.insert_nodes(rows)
-        sharded.insert_nodes(rows)
-        check("insert")
-        plain.update_features([2, 8], dataset.features[[2, 8]] + 0.2)
-        sharded.update_features([2, 8], dataset.features[[2, 8]] + 0.2)
-        check("update")
-        plain.delete_nodes([0, 7, 11])
-        sharded.delete_nodes([0, 7, 11])
-        check("delete")
-        assert np.array_equal(plain.compact(), sharded.compact())
-        check("compact")
-        sharded.close()
-
-    def test_sharded_bundle_round_trips_and_auto_shards(
-        self, tmp_path, tiny_citation_dataset, bundle_path
-    ):
-        from repro.hypergraph.sharding import ShardedBackend
-        from repro.serving import ShardedSession
-
-        dataset = tiny_citation_dataset
-        session = ShardedSession(FrozenModel.load(bundle_path), n_shards=3)
-        session.insert_nodes(_new_rows(dataset, 3))
-        session.predict()
-        reference = session.predict(output="logits")
-        frozen = session.to_frozen()
-        assert frozen.meta["shard_map"] is not None
-        out = tmp_path / "sharded_bundle.npz"
-        frozen.save(out)
-        session.close()
-
-        # A pool over the saved bundle auto-detects the shard map: the
-        # writer comes back sharded without any explicit shards= argument.
-        pool = SessionPool(FrozenModel.load(out))
-        assert isinstance(pool.writer, ShardedSession)
-        assert isinstance(pool.writer.backend, ShardedBackend)
-        assert pool.stats()["writer"]["sharded"] is True
-        assert np.array_equal(pool.writer.predict(output="logits"), reference)
-        assert np.array_equal(pool.current.answer(output="logits"), reference)
-
-    def test_sharded_pool_matches_unsharded_pool_bit_for_bit(
-        self, tiny_citation_dataset, bundle_path
-    ):
-        dataset = tiny_citation_dataset
+        pool = SessionPool(FrozenModel.load(legacy))
         plain = SessionPool(FrozenModel.load(bundle_path))
-        sharded = SessionPool(FrozenModel.load(bundle_path), shards=4)
-        assert sharded.stats()["writer"]["sharded"] is True
-        assert plain.stats()["writer"]["sharded"] is False
-
-        rows = _new_rows(dataset, 4)
-        plain.insert(rows)
-        sharded.insert(rows)
-        plain.delete([3, 5])
-        sharded.delete([3, 5])
-        plain.compact()
-        sharded.compact()
-        expected = plain.writer.predict(output="logits")
-        assert np.array_equal(sharded.writer.predict(output="logits"), expected)
-        assert np.array_equal(sharded.current.answer(output="logits"), expected)
-
-    def test_http_serving_with_shards(self, tiny_citation_dataset, bundle_path):
-        dataset = tiny_citation_dataset
-        direct = InferenceSession(FrozenModel.load(bundle_path))
-        server_cls = TestServingServerHTTP()
-
-        async def scenario(server, client):
-            status, stats = await client.request("GET", "/stats")
-            assert status == 200
-            assert stats["pool"]["writer"]["sharded"] is True
-            assert stats["config"]["shards"] == 2
-
-            status, answer = await client.request(
-                "POST", "/predict", {"nodes": [0, 3, 8], "output": "logits"}
-            )
-            assert status == 200
+        assert type(pool.writer) is InferenceSession
+        for output in ("labels", "logits", "embeddings"):
             assert np.array_equal(
-                np.asarray(answer["result"]),
-                direct.predict([0, 3, 8], output="logits"),
+                pool.current.answer(output=output), plain.current.answer(output=output)
             )
 
-            rows = _new_rows(dataset, 3).tolist()
-            status, inserted = await client.request(
-                "POST", "/insert", {"features": rows}
-            )
-            assert status == 200 and len(inserted["ids"]) == 3
-            status, answer = await client.request(
-                "POST", "/predict", {"nodes": inserted["ids"]}
-            )
-            assert status == 200 and len(answer["result"]) == 3
+    def test_sharded_backend_key_needs_an_explicit_backend(self, tmp_path, bundle_path):
+        store = OperatorStore.load(bundle_path)
+        store.meta["backend"]["cache_key"] = ["sharded", 4, 0]
+        legacy = tmp_path / "sharded_backend_bundle.npz"
+        store.save(legacy)
 
-            status, deleted = await client.request(
-                "POST", "/delete", {"nodes": [inserted["ids"][0]]}
+        with pytest.raises(ConfigurationError, match="cannot reconstruct a backend"):
+            FrozenModel.load(legacy)
+        loaded = InferenceSession(FrozenModel.load(legacy, backend=IncrementalBackend()))
+        original = InferenceSession(FrozenModel.load(bundle_path))
+        for output in ("labels", "logits", "embeddings"):
+            assert np.array_equal(
+                loaded.predict(output=output), original.predict(output=output)
             )
-            assert status == 200 and deleted["tombstones"] == 1
-            status, compacted = await client.request("POST", "/compact", {})
-            assert status == 200
-            assert compacted["n_nodes"] == dataset.n_nodes + 2
-
-        server_cls._serve(bundle_path, scenario, shards=2)
 
 
 # --------------------------------------------------------------------------- #
@@ -759,11 +681,23 @@ class TestShardedServing:
 # --------------------------------------------------------------------------- #
 class TestServeCLI:
     @pytest.mark.parametrize(
-        "flag", ["--replicas", "--batch-window-ms", "--max-batch-size", "--request-timeout-s"]
+        "flag",
+        [
+            "--replicas", "--batch-window-ms", "--max-batch-size", "--request-timeout-s",
+            "--shards", "--refresh-workers",
+        ],
     )
     def test_removed_flags_are_rejected(self, flag, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--bundle", "b.npz", flag, "1"])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_removed_export_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["export", "--dataset", "d", "--model", "dhgnn", "--out", "b.npz",
+                 "--shards", "2"]
+            )
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_boots_and_answers(self, bundle_path):
