@@ -41,7 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from common import emit  # noqa: E402
 
-from repro import DHGCN, DHGCNConfig, GCN, HGNN, TrainConfig, reset_default_engine  # noqa: E402
+from repro import DHGCN, DHGCNConfig, GCN, HGNN, TrainConfig  # noqa: E402
 from repro.autograd import Tensor, cross_entropy  # noqa: E402
 from repro.data import get_dataset  # noqa: E402
 from repro.optim import Adam  # noqa: E402
@@ -99,7 +99,6 @@ def _train_epoch(model, optimizer, features, labels, train_index, epoch):
 
 def run_one(model_name: str, precision_name: str) -> dict:
     """Benchmark one (model, precision) cell; returns the measurement record."""
-    reset_default_engine()
     dataset = get_dataset(DATASET, seed=0, n_nodes=N_NODES)
     factory = _models()[model_name]
     config = TrainConfig(lr=0.01, weight_decay=5e-4, precision=precision_name)

@@ -11,7 +11,6 @@ import numpy as np
 from common import N_SEEDS, BENCH_EPOCHS, bench_train_config, dataset_factory, dhgcn_factory, emit
 
 from repro.core import DHGCNConfig
-from repro.hypergraph import get_default_engine, reset_default_engine
 from repro.training import run_experiment
 from repro.training.results import ResultTable
 
@@ -21,9 +20,6 @@ REFRESH_PERIODS = [1, 5, 10, 25, BENCH_EPOCHS]
 
 
 def run_fig_refresh():
-    # Fresh shared topology-refresh engine: the sweep repeats the same dataset
-    # realisations, so runs after the first reuse cached static operators.
-    reset_default_engine()
     factory = dataset_factory(DATASET)
     table = ResultTable(
         ["refresh period", "test accuracy", "mean", "train time (s)"],
@@ -51,7 +47,7 @@ def run_fig_refresh():
 
 def test_fig_refresh(benchmark):
     table, rows = benchmark.pedantic(run_fig_refresh, rounds=1, iterations=1)
-    emit(table, "figC_refresh", extra={"operator_cache": get_default_engine().stats()})
+    emit(table, "figC_refresh")
 
     accuracies = [experiment.mean_test_accuracy for _, experiment in rows]
     times = [experiment.mean_train_time for _, experiment in rows]

@@ -13,15 +13,14 @@ Three measurements, each emitted as a table artefact:
   k-means + operators) vs. warm = load an operator-store bundle.  The warm
   path must perform **zero** k-NN distance computations.
 * **online insert vs. full rebuild** — refreshing after inserting 4% new
-  nodes through the incremental backend's grow-and-repair vs. an exact
-  full-rebuild session; compared in wall-clock and in distance pairs
-  computed.
+  nodes through each layer index's grow-and-repair vs. a session whose
+  indices were reset (every layer's k-NN rebuilt cold); compared in
+  wall-clock and in distance pairs computed.
 * **online delete + compact vs. full rebuild** — tombstoning 4% of the nodes
-  through the incremental backend's shrink-and-repair vs. an exact
-  full-rebuild session, again in wall-clock and distance pairs; plus the
-  memory side of compaction: ``compact()`` must shrink both the dense
-  feature matrix and the session's cached operator bytes
-  (``OperatorCache.stats()["bytes"]``).
+  through each layer index's shrink-and-repair vs. a cold-rebuild session,
+  again in wall-clock and distance pairs; plus the memory side of
+  compaction: ``compact()`` must shrink both the dense feature matrix and
+  the bytes of the plan's propagation operators.
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_inference.py``);
 ``REPRO_BENCH_QUICK=1`` selects the CI smoke configuration.  Acceptance bars:
@@ -46,11 +45,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from common import emit  # noqa: E402
 
-from repro import DHGNN, TrainConfig, Trainer, reset_default_engine  # noqa: E402
+from repro import DHGNN, TrainConfig, Trainer  # noqa: E402
 from repro.autograd.tensor import Tensor, no_grad  # noqa: E402
 from repro.data.citation import make_citation_dataset  # noqa: E402
 from repro.hypergraph.knn import DISTANCE_COUNTERS  # noqa: E402
-from repro.hypergraph.neighbors import ExactBackend, IncrementalBackend  # noqa: E402
 from repro.serving import FrozenModel, InferenceSession  # noqa: E402
 from repro.training.results import ResultTable  # noqa: E402
 
@@ -85,15 +83,26 @@ def _dataset(n: int):
     )
 
 
-def _train_model(dataset, *, backend=None):
+def _train_model(dataset):
     model = DHGNN(
         dataset.n_features, dataset.n_classes, hidden_dim=HIDDEN, n_layers=N_LAYERS, seed=0
     )
-    trainer = Trainer(
-        model, dataset, TrainConfig(epochs=EPOCHS, patience=None, neighbor_backend=backend)
-    )
+    trainer = Trainer(model, dataset, TrainConfig(epochs=EPOCHS, patience=None))
     trainer.train()
     return model, trainer
+
+
+def _reset_indices(session) -> None:
+    """Drop every layer's k-NN state: the next refresh rebuilds cold."""
+    for slot in session.plan.slots:
+        slot.index.reset()
+
+
+def _operator_bytes(session) -> int:
+    return sum(
+        op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
+        for op in session.plan.operators
+    )
 
 
 def _time(fn, reps=REPS) -> float:
@@ -112,7 +121,6 @@ def bench_forward() -> tuple[ResultTable, float]:
     )
     smallest_speedup = None
     for n in SIZES:
-        reset_default_engine()
         dataset = _dataset(n)
         model, _ = _train_model(dataset)
         frozen = FrozenModel.compile(model, dataset.features)
@@ -143,15 +151,13 @@ def bench_warm_start(tmp_dir: Path) -> tuple[ResultTable, int]:
     )
     warm_pairs_total = 0
     for n in SIZES:
-        reset_default_engine()
         dataset = _dataset(n)
-        model, trainer = _train_model(dataset, backend="incremental")
+        model, trainer = _train_model(dataset)
         bundle = tmp_dir / f"bundle_{n}.npz"
         trainer.export_frozen(str(bundle))
         weights = model.state_dict()
 
         def cold_start():
-            reset_default_engine()
             fresh = DHGNN(
                 dataset.n_features, dataset.n_classes,
                 hidden_dim=HIDDEN, n_layers=N_LAYERS, seed=0,
@@ -161,7 +167,6 @@ def bench_warm_start(tmp_dir: Path) -> tuple[ResultTable, int]:
             return FrozenModel.compile(fresh, dataset.features).predict_labels()
 
         def warm_start():
-            reset_default_engine()
             return InferenceSession(FrozenModel.load(bundle)).predict()
 
         DISTANCE_COUNTERS.reset()
@@ -181,14 +186,13 @@ def bench_warm_start(tmp_dir: Path) -> tuple[ResultTable, int]:
 def bench_online_insert(tmp_dir: Path) -> tuple[ResultTable, bool]:
     table = ResultTable(
         ["n nodes", "inserted", "incremental (ms)", "full rebuild (ms)", "speedup",
-         "incremental pairs", "rebuild pairs", "backend full rebuilds"],
+         "incremental pairs", "rebuild pairs", "full rebuilds per layer"],
         title=f"Serving: online insert ({INSERT_FRACTION:.0%} new nodes) vs full rebuild",
     )
     always_fewer_pairs = True
     for n in SIZES:
-        reset_default_engine()
         dataset = _dataset(n)
-        _, trainer = _train_model(dataset, backend="incremental")
+        _, trainer = _train_model(dataset)
         bundle = tmp_dir / f"insert_bundle_{n}.npz"
         trainer.export_frozen(str(bundle))
         rng = np.random.default_rng(n)
@@ -197,13 +201,7 @@ def bench_online_insert(tmp_dir: Path) -> tuple[ResultTable, bool]:
             rng.choice(n, count, replace=False)
         ] + rng.normal(scale=0.05, size=(count, dataset.n_features))
 
-        # Incremental: a tolerance of ~10% of the deepest embedding scale
-        # absorbs the degree-renormalisation ripple insertion causes in
-        # deeper layers, keeping the refresh scoped (zero full rebuilds).
-        session = InferenceSession(
-            FrozenModel.load(bundle, backend=IncrementalBackend(tolerance=0.1)),
-            cluster_assignment="frozen",
-        )
+        session = InferenceSession(FrozenModel.load(bundle), cluster_assignment="frozen")
         session.predict()
         DISTANCE_COUNTERS.reset()
         start = time.perf_counter()
@@ -212,10 +210,9 @@ def bench_online_insert(tmp_dir: Path) -> tuple[ResultTable, bool]:
         incremental_s = time.perf_counter() - start
         incremental_pairs = DISTANCE_COUNTERS.pairs
 
-        rebuild = InferenceSession(
-            FrozenModel.load(bundle, backend=ExactBackend()), cluster_assignment="frozen"
-        )
+        rebuild = InferenceSession(FrozenModel.load(bundle), cluster_assignment="frozen")
         rebuild.predict()
+        _reset_indices(rebuild)
         DISTANCE_COUNTERS.reset()
         start = time.perf_counter()
         rebuild.insert_nodes(new_features)
@@ -227,7 +224,7 @@ def bench_online_insert(tmp_dir: Path) -> tuple[ResultTable, bool]:
         table.add_row(
             [n, count, round(incremental_s * 1e3, 2), round(rebuild_s * 1e3, 2),
              f"{rebuild_s / incremental_s:.2f}x", incremental_pairs, rebuild_pairs,
-             session.stats()["backend"]["full_rebuilds"]]
+             [row["full_rebuilds"] for row in session.stats()["neighbors"]]]
         )
     return table, always_fewer_pairs
 
@@ -243,22 +240,15 @@ def bench_online_delete(tmp_dir: Path) -> tuple[ResultTable, bool, bool]:
     always_fewer_pairs = True
     always_frees_bytes = True
     for n in SIZES:
-        reset_default_engine()
         dataset = _dataset(n)
-        _, trainer = _train_model(dataset, backend="incremental")
+        _, trainer = _train_model(dataset)
         bundle = tmp_dir / f"delete_bundle_{n}.npz"
         trainer.export_frozen(str(bundle))
         rng = np.random.default_rng(n + 1)
         count = max(1, int(round(DELETE_FRACTION * n)))
         doomed = np.sort(rng.choice(n, count, replace=False))
 
-        # Incremental: the same ~10%-scale tolerance as the insert section
-        # absorbs the degree-renormalisation ripple deletion causes in
-        # deeper-layer embeddings, keeping the refresh scoped.
-        session = InferenceSession(
-            FrozenModel.load(bundle, backend=IncrementalBackend(tolerance=0.1)),
-            cluster_assignment="frozen",
-        )
+        session = InferenceSession(FrozenModel.load(bundle), cluster_assignment="frozen")
         session.predict()
         DISTANCE_COUNTERS.reset()
         start = time.perf_counter()
@@ -268,19 +258,18 @@ def bench_online_delete(tmp_dir: Path) -> tuple[ResultTable, bool, bool]:
         incremental_pairs = DISTANCE_COUNTERS.pairs
 
         feature_bytes_before = session.features.nbytes
-        op_bytes_before = session.stats()["engine"]["bytes"]
+        op_bytes_before = _operator_bytes(session)
         session.compact()
         feature_bytes_after = session.features.nbytes
-        op_bytes_after = session.stats()["engine"]["bytes"]
+        op_bytes_after = _operator_bytes(session)
         always_frees_bytes = always_frees_bytes and (
             feature_bytes_after < feature_bytes_before
             and op_bytes_after < op_bytes_before
         )
 
-        rebuild = InferenceSession(
-            FrozenModel.load(bundle, backend=ExactBackend()), cluster_assignment="frozen"
-        )
+        rebuild = InferenceSession(FrozenModel.load(bundle), cluster_assignment="frozen")
         rebuild.predict()
+        _reset_indices(rebuild)
         DISTANCE_COUNTERS.reset()
         start = time.perf_counter()
         rebuild.delete_nodes(doomed)
@@ -330,7 +319,7 @@ def main() -> None:
         "online deletion did not beat the full rebuild in distance pairs"
     )
     assert compact_frees, (
-        "compact() did not shrink the feature matrix and cached operator bytes"
+        "compact() did not shrink the feature matrix and operator bytes"
     )
     print(
         f"OK: frozen {smallest_speedup:.2f}x at n={SIZES[0]} (bar {FROZEN_SPEEDUP_BAR}x), "

@@ -1,19 +1,14 @@
-"""Benchmark of the pluggable neighbour-search backends.
+"""Benchmark of the incremental k-NN index against the exact chunked kernel.
 
-Measures, against the exact chunked kernel, over n and node-churn rates:
-
-* **incremental backend** — wall-clock of a topology refresh when only a
-  fraction of the nodes moved since the last refresh (the mostly-converged
-  training regime), with a bit-identity check against exact on every refresh;
-* **LSH backend** — query wall-clock and *measured recall* on clustered
-  synthetic data (the regime the dynamic hypergraph generators produce).
+Measures, over n and node-churn rates, the wall-clock of a topology refresh
+when only a fraction of the nodes moved since the last refresh (the
+mostly-converged training regime), with a bit-identity check against the
+kernel's full rebuild on every refresh.
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_neighbor_backends.py``);
-set ``REPRO_BENCH_QUICK=1`` for the CI smoke configuration.  Acceptance bars:
-
-* quick mode: incremental refresh ≥ 1.2× faster than exact at ≤ 10% churn;
-  full mode: ≥ 2× (the dominant structural cost of refresh-heavy training);
-* LSH measured recall ≥ 0.9 on every clustered configuration.
+set ``REPRO_BENCH_QUICK=1`` for the CI smoke configuration.  Acceptance bar:
+quick mode: incremental refresh ≥ 1.2× faster than exact at ≤ 10% churn;
+full mode: ≥ 2× (the dominant structural cost of refresh-heavy training).
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from common import emit  # noqa: E402
 
-from repro.hypergraph import IncrementalBackend, LSHBackend, knn_indices  # noqa: E402
+from repro.hypergraph import IncrementalBackend, knn_indices  # noqa: E402
 from repro.training.results import ResultTable  # noqa: E402
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
@@ -45,7 +40,6 @@ FEATURE_DIM = 16
 BLOCK_SIZE = 256
 #: Quick/full acceptance bars for the incremental speedup at <= 10% churn.
 SPEEDUP_BAR = 1.2 if QUICK else 2.0
-RECALL_BAR = 0.9
 
 
 def _clustered(rng: np.random.Generator, n: int, n_clusters: int = 10) -> np.ndarray:
@@ -56,11 +50,11 @@ def _clustered(rng: np.random.Generator, n: int, n_clusters: int = 10) -> np.nda
 
 def bench_incremental() -> tuple[ResultTable, float]:
     """Simulated mostly-converged refreshes: move `churn`·n nodes slightly,
-    then rebuild the k-NN lists with each backend."""
+    then refresh the index and rebuild with the exact kernel."""
     table = ResultTable(
         ["n nodes", "churn", "exact (ms/refresh)", "incremental (ms/refresh)",
          "rows requeried", "speedup", "identical"],
-        title=f"Neighbour backends: exact vs incremental refresh (k={K_NEIGHBORS})",
+        title=f"k-NN index: exact rebuild vs incremental refresh (k={K_NEIGHBORS})",
     )
     worst_low_churn_speedup = float("inf")
     for n in SIZES:
@@ -111,62 +105,18 @@ def bench_incremental() -> tuple[ResultTable, float]:
     return table, worst_low_churn_speedup
 
 
-def bench_lsh() -> tuple[ResultTable, float]:
-    table = ResultTable(
-        ["n nodes", "exact (ms)", "lsh (ms)", "tables/probes", "fallback rows", "recall"],
-        title=f"Neighbour backends: LSH vs exact (k={K_NEIGHBORS}, clustered data)",
-    )
-    worst_recall = float("inf")
-    for n in SIZES:
-        rng = np.random.default_rng(n + 17)
-        features = _clustered(rng, n)
-        backend = LSHBackend(seed=0, block_size=BLOCK_SIZE)
-
-        start = time.perf_counter()
-        reference = knn_indices(features, K_NEIGHBORS, block_size=BLOCK_SIZE)
-        exact_s = time.perf_counter() - start
-
-        recall = backend.tune(
-            features, K_NEIGHBORS, target_recall=RECALL_BAR, reference=reference
-        )
-        start = time.perf_counter()
-        backend.query(features, K_NEIGHBORS)
-        lsh_s = time.perf_counter() - start
-        worst_recall = min(worst_recall, recall)
-        table.add_row(
-            [
-                n,
-                round(exact_s * 1e3, 3),
-                round(lsh_s * 1e3, 3),
-                f"{backend.n_tables}/{backend.n_probes}",
-                backend.fallback_rows,
-                round(recall, 4),
-            ]
-        )
-    return table, worst_recall
-
-
 def main() -> None:
     mode = "quick" if QUICK else "full"
-    print(f"neighbour-backend benchmark ({mode} mode)")
+    print(f"k-NN index benchmark ({mode} mode)")
 
     incremental_table, worst_speedup = bench_incremental()
     emit(incremental_table, "bench_neighbor_backends_incremental", extra={"mode": mode})
-
-    lsh_table, worst_recall = bench_lsh()
-    emit(lsh_table, "bench_neighbor_backends_lsh", extra={"mode": mode})
 
     assert worst_speedup >= SPEEDUP_BAR, (
         f"incremental refresh only {worst_speedup:.2f}x faster than exact at <=10% churn "
         f"(bar: {SPEEDUP_BAR}x)"
     )
-    assert worst_recall >= RECALL_BAR, (
-        f"LSH recall {worst_recall:.3f} below the {RECALL_BAR} floor"
-    )
-    print(
-        f"OK: incremental {worst_speedup:.2f}x at <=10% churn (bar {SPEEDUP_BAR}x), "
-        f"LSH recall >= {worst_recall:.3f} (bar {RECALL_BAR})"
-    )
+    print(f"OK: incremental {worst_speedup:.2f}x at <=10% churn (bar {SPEEDUP_BAR}x)")
 
 
 if __name__ == "__main__":

@@ -1,14 +1,9 @@
-"""Micro-benchmark of the topology-refresh engine.
+"""Micro-benchmark of the topology refresh's chunked k-NN.
 
-Reports, for the two refresh-path optimisations:
-
-* **chunked k-NN** — wall-clock of the blockwise path
-  (:func:`repro.hypergraph.knn.knn_indices`) vs the O(n²)-memory brute-force
-  path, plus the peak distance-slab memory of each, with an equality check on
-  the selected neighbours;
-* **operator cache** — cold ``hypergraph_propagation_operator`` build vs a
-  cached hit on the same topology, with the hit/build speedup.  The suite's
-  acceptance bar is a ≥ 10× faster cached hit.
+Reports the wall-clock of the blockwise path
+(:func:`repro.hypergraph.knn.knn_indices`) vs the O(n²)-memory brute-force
+path, plus the peak distance-slab memory of each, with an equality check on
+the selected neighbours.
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_refresh_engine.py``);
 set ``REPRO_BENCH_QUICK=1`` for the CI smoke configuration (small sizes,
@@ -28,24 +23,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from common import emit  # noqa: E402
 
-from repro.hypergraph import OperatorCache, hypergraph_propagation_operator  # noqa: E402
-from repro.hypergraph.construction import knn_hyperedges  # noqa: E402
 from repro.hypergraph.knn import knn_indices, knn_indices_bruteforce  # noqa: E402
-from repro.hypergraph.laplacian import compactness_hyperedge_weights  # noqa: E402
 from repro.training.results import ResultTable  # noqa: E402
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
 #: Node counts for the k-NN scaling section.
 KNN_SIZES = [300] if QUICK else [1000, 2000, 4000]
-#: Node counts for the operator-cache section.
-CACHE_SIZES = [300] if QUICK else [500, 1000, 2000]
 BLOCK_SIZE = 256
 K_NEIGHBORS = 8
 FEATURE_DIM = 16
-#: Repetitions per timing; cached hits are microseconds, so they get more.
+#: Repetitions per timing.
 BUILD_REPEATS = 3 if QUICK else 5
-HIT_REPEATS = 200
 
 
 def _time(func, repeats: int) -> float:
@@ -80,59 +69,12 @@ def bench_chunked_knn() -> ResultTable:
     return table
 
 
-def bench_operator_cache() -> tuple[ResultTable, float]:
-    table = ResultTable(
-        ["n nodes", "hyperedges", "cold build (ms)", "cached hit (ms)", "speedup"],
-        title="Refresh engine: propagation-operator build vs cached hit",
-    )
-    worst_speedup = float("inf")
-    for n in CACHE_SIZES:
-        rng = np.random.default_rng(n + 1)
-        features = rng.normal(size=(n, FEATURE_DIM))
-        hypergraph = knn_hyperedges(features, K_NEIGHBORS, block_size=BLOCK_SIZE)
-        hypergraph = hypergraph.with_weights(
-            compactness_hyperedge_weights(hypergraph, features)
-        )
-
-        cold_s = _time(lambda: hypergraph_propagation_operator(hypergraph), BUILD_REPEATS)
-
-        cache = OperatorCache()
-        cache.propagation_operator(hypergraph)  # warm the single entry
-
-        def hits():
-            for _ in range(HIT_REPEATS):
-                cache.propagation_operator(hypergraph)
-
-        hit_s = _time(hits, BUILD_REPEATS) / HIT_REPEATS
-        speedup = cold_s / hit_s if hit_s > 0 else float("inf")
-        worst_speedup = min(worst_speedup, speedup)
-        table.add_row(
-            [
-                n,
-                hypergraph.n_hyperedges,
-                round(cold_s * 1e3, 3),
-                round(hit_s * 1e3, 5),
-                f"{speedup:.0f}x",
-            ]
-        )
-    return table, worst_speedup
-
-
 def main() -> None:
     mode = "quick" if QUICK else "full"
     print(f"refresh-engine micro-benchmark ({mode} mode)")
 
     knn_table = bench_chunked_knn()
     emit(knn_table, "bench_refresh_engine_knn", extra={"mode": mode})
-
-    cache_table, worst_speedup = bench_operator_cache()
-    emit(cache_table, "bench_refresh_engine_cache", extra={"mode": mode})
-
-    # Acceptance bar: a cached hit must beat a cold rebuild by >= 10x.
-    assert worst_speedup >= 10.0, (
-        f"cached-operator hit only {worst_speedup:.1f}x faster than a cold build"
-    )
-    print(f"OK: worst cached-hit speedup {worst_speedup:.0f}x (bar: 10x)")
 
 
 if __name__ == "__main__":

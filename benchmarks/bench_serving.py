@@ -58,7 +58,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from common import RESULTS_DIR, emit  # noqa: E402
 
-from repro import DHGNN, TrainConfig, Trainer, reset_default_engine  # noqa: E402
+from repro import DHGNN, TrainConfig, Trainer  # noqa: E402
 from repro.data.citation import make_citation_dataset  # noqa: E402
 from repro.obs import MetricsRegistry, use_registry  # noqa: E402
 from repro.serving import FrozenModel, InferenceSession  # noqa: E402
@@ -112,7 +112,6 @@ def _dataset():
 
 
 def _export_bundle(tmp_dir: Path) -> Path:
-    reset_default_engine()
     dataset = _dataset()
     model = DHGNN(
         dataset.n_features, dataset.n_classes, hidden_dim=HIDDEN, n_layers=N_LAYERS, seed=0
@@ -120,7 +119,7 @@ def _export_bundle(tmp_dir: Path) -> Path:
     trainer = Trainer(
         model,
         dataset,
-        TrainConfig(epochs=EPOCHS, patience=None, neighbor_backend="incremental"),
+        TrainConfig(epochs=EPOCHS, patience=None),
     )
     trainer.train()
     bundle = tmp_dir / "bench_serving_bundle.npz"

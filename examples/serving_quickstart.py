@@ -6,15 +6,15 @@ Run with::
 
 The script walks the full serving workflow of :mod:`repro.serving`:
 
-1. train a DHGNN with the incremental neighbour backend;
+1. train a DHGNN (every dynamic layer owns an incremental k-NN index);
 2. export a one-file serving bundle (weights + resolved propagation
-   operators + incremental neighbour state);
+   operators + each layer's k-NN index state);
 3. warm-start an :class:`~repro.serving.InferenceSession` from the bundle —
    the first prediction performs **zero** k-NN distance computations;
 4. serve batched queries (labels, logits, embeddings) from one shared
    forward pass, frozen into an immutable generation;
-5. insert new nodes online: the topology is repaired through the incremental
-   backend instead of being rebuilt;
+5. insert new nodes online: the topology is repaired through each layer's
+   k-NN index instead of being rebuilt;
 6. delete nodes online (lazy tombstoning), compact the session (physical
    shrink + old->new id remap) and install a background cluster
    re-assignment policy that bounds frozen-membership staleness;
@@ -46,19 +46,14 @@ import numpy as np
 
 from repro import DHGNN, FrozenModel, InferenceSession, TrainConfig, Trainer, get_dataset
 from repro.hypergraph.knn import DISTANCE_COUNTERS
-from repro.hypergraph.neighbors import IncrementalBackend
 
 
 def main() -> None:
-    # 1. Train with the incremental backend so its neighbour state ends up in
-    #    the exported bundle.
+    # 1. Train.  Each dynamic layer keeps its own k-NN index; the exported
+    #    bundle carries them.
     dataset = get_dataset("cora-cocitation", seed=0, n_nodes=400)
     model = DHGNN(dataset.n_features, dataset.n_classes, hidden_dim=32, seed=0)
-    trainer = Trainer(
-        model,
-        dataset,
-        TrainConfig(epochs=60, patience=None, neighbor_backend="incremental"),
-    )
+    trainer = Trainer(model, dataset, TrainConfig(epochs=60, patience=None))
     result = trainer.train()
     print(f"trained DHGNN on {dataset.name}: test accuracy {result.test_accuracy:.4f}")
 
@@ -93,27 +88,23 @@ def main() -> None:
         )
 
         # 5. Online insertion: five new nodes join through a scoped refresh.
-        #    A tolerance of ~10% of the embedding scale keeps the repair
-        #    incremental; tolerance=0 would instead reproduce an exact
-        #    rebuild bit-for-bit at higher cost.
-        serving = InferenceSession(
-            FrozenModel.load(bundle, backend=IncrementalBackend(tolerance=0.1)),
-            cluster_assignment="frozen",
-        )
+        #    Layer 0's index grows by the new rows; the answer equals a cold
+        #    rebuild bit for bit.
+        serving = InferenceSession(FrozenModel.load(bundle), cluster_assignment="frozen")
         serving.predict()
         rng = np.random.default_rng(1)
         new_nodes = dataset.features[rng.choice(dataset.n_nodes, 5, replace=False)]
         new_ids = serving.insert_nodes(new_nodes + rng.normal(scale=0.05, size=new_nodes.shape))
         print(f"inserted nodes {new_ids.tolist()} -> labels {serving.predict(new_ids).tolist()}")
-        backend_stats = serving.stats()["backend"]
-        print(
-            f"refresh was scoped: {backend_stats['rows_requeried']} rows re-queried, "
-            f"{backend_stats['full_rebuilds']} full rebuilds"
-        )
+        for layer in serving.stats()["neighbors"]:
+            print(
+                f"layer {layer['layer']} k-NN: {layer['rows_requeried']} rows re-queried, "
+                f"{layer['full_rebuilds']} full rebuilds"
+            )
 
         # 6. The other half of the lifecycle: nodes leave.  Deletion is a
         #    lazy tombstone — the next refresh excludes the nodes from every
-        #    hyperedge via the backend's O(r*n) shrink-and-repair — and
+        #    hyperedge via each index's O(r*n) shrink-and-repair — and
         #    compact() makes it physical, returning the old->new id remap.
         doomed = [3, 7, 11]
         serving.delete_nodes(doomed)
@@ -122,9 +113,9 @@ def main() -> None:
         remap = serving.compact()
         print(f"compacted to {serving.n_nodes} nodes "
               f"(old node 4 is now id {remap[4]}, deleted ids map to -1)")
-        backend_stats = serving.stats()["backend"]
-        print(f"deletion was scoped too: {backend_stats['rows_deleted']} state "
-              f"rows dropped, {backend_stats['full_rebuilds']} full rebuilds")
+        layer0 = serving.stats()["neighbors"][0]
+        print(f"layer 0 k-NN after deletion: {layer0['rows_deleted']} state rows "
+              f"dropped, {layer0['full_rebuilds']} full rebuilds")
 
         #    A background policy bounds the frozen-membership staleness of
         #    the k-means cluster hyperedges: every 5th refresh re-assigns

@@ -25,18 +25,7 @@ Quickstart
 from repro.core import DHGCN, DHGCNConfig, DynamicHypergraphBuilder
 from repro.data import NodeClassificationDataset, Split, available_datasets, get_dataset
 from repro.graph import Graph
-from repro.hypergraph import (
-    ExactBackend,
-    Hypergraph,
-    IncrementalBackend,
-    LSHBackend,
-    NeighborBackend,
-    OperatorCache,
-    TopologyRefreshEngine,
-    available_neighbor_backends,
-    get_default_engine,
-    reset_default_engine,
-)
+from repro.hypergraph import Hypergraph, IncrementalBackend
 from repro.models import DHGNN, GAT, GCN, HGNN, HGNNP, MLP, SGC, ChebNet, HyperGCN
 from repro.serving import FrozenModel, InferenceSession, OperatorStore
 from repro.precision import (
@@ -64,15 +53,7 @@ __all__ = [
     "DHGCNConfig",
     "DynamicHypergraphBuilder",
     "Hypergraph",
-    "OperatorCache",
-    "TopologyRefreshEngine",
-    "get_default_engine",
-    "reset_default_engine",
-    "NeighborBackend",
-    "ExactBackend",
     "IncrementalBackend",
-    "LSHBackend",
-    "available_neighbor_backends",
     "Graph",
     "SUPPORTED_PRECISIONS",
     "precision",

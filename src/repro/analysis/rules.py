@@ -3,7 +3,8 @@
 Each rule encodes one invariant the serving/training stack actually relies
 on; ``docs/lint-rules.md`` catalogues them with rationale and suppression
 guidance.  Rule ids are stable (``RL001``–``RL008``) so suppressions and
-baselines survive refactors of this module.
+baselines survive refactors of this module; a retired rule's id (RL007) is
+never reused.
 """
 
 from __future__ import annotations
@@ -190,13 +191,13 @@ class RawDtypeRule(Rule):
 
 
 # --------------------------------------------------------------------------- #
-# RL003 — no global-state RNG / wall-clock in kernel, backend or serving code
+# RL003 — no global-state RNG / wall-clock in kernel or serving code
 # --------------------------------------------------------------------------- #
 class GlobalRandomRule(Rule):
     id = "RL003"
     description = (
         "global-state RNG (np.random.seed/rand/..., random.random/...) in "
-        "kernel/backend/serving code, and wall-clock reads in numeric "
+        "kernel/serving code, and wall-clock reads in numeric "
         "kernels — use seeded generators from repro.utils.rng"
     )
 
@@ -539,139 +540,6 @@ class LockDisciplineRule(Rule):
 
 
 # --------------------------------------------------------------------------- #
-# RL007 — registered neighbour backends implement the full contract
-# --------------------------------------------------------------------------- #
-class BackendContractRule(Rule):
-    id = "RL007"
-    description = (
-        "every class passed to register_neighbor_backend must override "
-        "query() and keep contract-method signatures aligned with "
-        "NeighborBackend — drifted parameter names break the registry's "
-        "keyword call sites"
-    )
-
-    _CONTRACT = ("query", "update", "delete", "reset", "cache_key")
-
-    @staticmethod
-    def _params(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, ...]:
-        args = fn.args
-        names = [a.arg for a in args.posonlyargs + args.args if a.arg != "self"]
-        names.extend(a.arg for a in args.kwonlyargs)
-        return tuple(names)
-
-    def check_project(self, modules: Sequence[ModuleInfo]) -> Iterator[Finding]:
-        classes: dict[str, tuple[ModuleInfo, ast.ClassDef]] = {}
-        for module in modules:
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.ClassDef):
-                    classes.setdefault(node.name, (module, node))
-        base = classes.get("NeighborBackend")
-        if base is None:
-            return
-        contract: dict[str, tuple[str, ...]] = {}
-        for stmt in base[1].body:
-            if (
-                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and stmt.name in self._CONTRACT
-            ):
-                contract[stmt.name] = self._params(stmt)
-
-        registered: dict[str, tuple[ModuleInfo, ast.Call]] = {}
-        for module in modules:
-            if not module.in_scope("repro/"):
-                continue
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = _call_name(node) or ""
-                if name.split(".")[-1] != "register_neighbor_backend":
-                    continue
-                if len(node.args) < 2:
-                    continue
-                key = _literal_str(node.args[0])
-                if key is None:
-                    continue
-                overwrite = any(
-                    kw.arg == "overwrite"
-                    and isinstance(kw.value, ast.Constant)
-                    and kw.value.value
-                    for kw in node.keywords
-                )
-                if key in registered and not overwrite:
-                    previous = registered[key]
-                    yield self.at(
-                        module,
-                        node,
-                        f"backend {key!r} registered twice without "
-                        f"overwrite=True (first at "
-                        f"{previous[0].relpath}:{previous[1].lineno})",
-                    )
-                registered.setdefault(key, (module, node))
-
-                factory = node.args[1]
-                if not isinstance(factory, ast.Name):
-                    continue  # lambda/partial factories are out of static reach
-                resolved = classes.get(factory.id)
-                if resolved is None:
-                    yield self.at(
-                        module,
-                        node,
-                        f"backend {key!r} factory {factory.id} is not a "
-                        f"class this lint run can see",
-                    )
-                    continue
-                yield from self._check_class(key, resolved, classes, contract, module, node)
-
-    def _check_class(
-        self,
-        key: str,
-        resolved: tuple[ModuleInfo, ast.ClassDef],
-        classes: dict[str, tuple[ModuleInfo, ast.ClassDef]],
-        contract: dict[str, tuple[str, ...]],
-        reg_module: ModuleInfo,
-        reg_node: ast.Call,
-    ) -> Iterator[Finding]:
-        # Walk the syntactic MRO: the class plus bases we can resolve by name.
-        seen: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {}
-        queue = [resolved[1].name]
-        visited: set[str] = set()
-        while queue:
-            current = queue.pop(0)
-            if current in visited or current == "NeighborBackend":
-                continue
-            visited.add(current)
-            entry = classes.get(current)
-            if entry is None:
-                continue
-            for stmt in entry[1].body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    seen.setdefault(stmt.name, stmt)
-            for base in entry[1].bases:
-                base_name = _dotted_name(base)
-                if base_name:
-                    queue.append(base_name.split(".")[-1])
-        if "query" not in seen:
-            yield self.at(
-                reg_module,
-                reg_node,
-                f"backend {key!r} ({resolved[1].name}) never overrides the "
-                f"abstract query() method",
-            )
-        for method, params in contract.items():
-            override = seen.get(method)
-            if override is None:
-                continue  # inheriting the default implementation is fine
-            if self._params(override) != params:
-                yield self.finding(
-                    resolved[0],
-                    override.lineno,
-                    f"{resolved[1].name}.{method} signature "
-                    f"{self._params(override)} drifts from the "
-                    f"NeighborBackend contract {params}",
-                )
-
-
-# --------------------------------------------------------------------------- #
 # RL008 — public serving/obs defs document what they raise
 # --------------------------------------------------------------------------- #
 class DocumentedRaisesRule(Rule):
@@ -750,7 +618,6 @@ PROJECT_RULES: tuple[Rule, ...] = (
     FaultPointConsistencyRule(),
     MetricVocabularyRule(),
     LockDisciplineRule(),
-    BackendContractRule(),
     DocumentedRaisesRule(),
 )
 

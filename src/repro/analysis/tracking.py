@@ -51,7 +51,12 @@ class TopologyTracker:
     homophily: list[float] = field(default_factory=list)
 
     def update(self, epoch: int, model: DHGCN) -> None:
-        """Rebuild the dynamic hypergraph from the model's deepest embedding and score it."""
+        """Rebuild the dynamic hypergraph from the model's deepest embedding and score it.
+
+        The rebuild is a probe (:meth:`DynamicHypergraphBuilder.build_hypergraph`):
+        it leaves the model's training state, and so the rest of the run,
+        untouched.
+        """
         if model.builder is None:
             return
         reference = None

@@ -14,9 +14,10 @@ Two hot-path details:
   CSR matvec rather than an implicit format conversion per step;
 * the backward rule needs ``Sᵀ`` in CSR form, and materialising that
   transpose costs as much as the product itself.  Since the *same* operator
-  object is reused across training steps (the refresh engine caches them),
-  the transpose is memoised per operator object in :data:`_TRANSPOSE_CACHE`
-  and only rebuilt when the operator actually changes.
+  object is reused across training steps (a model keeps its operators
+  between topology refreshes), the transpose is memoised per operator
+  object in :data:`_TRANSPOSE_CACHE` and only rebuilt when the operator
+  actually changes.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from repro.autograd.tensor import Tensor, as_tensor
 from repro.errors import ShapeError
 from repro.precision import resolve_dtype
 
-#: Cap on memoised transposes; one slot per live operator is plenty (the
-#: operator cache itself holds at most ~128 operators).
+#: Cap on memoised transposes; one slot per live operator is plenty (a
+#: model holds a static operator plus one dynamic operator per layer).
 _MAX_TRANSPOSE_ENTRIES = 256
 
 #: id(operator) -> (weakref to the operator, its materialised transpose).

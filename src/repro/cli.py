@@ -58,7 +58,6 @@ from repro import (
     compare_methods,
     get_dataset,
 )
-from repro.hypergraph import available_neighbor_backends
 from repro.models import SGC, ChebNet, HGNNP
 
 MODEL_REGISTRY: dict[str, Callable] = {
@@ -100,14 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="floating-point policy: float64 (bit-exact) or float32 (fast path)",
     )
     train.add_argument(
-        "--neighbor-backend",
-        choices=available_neighbor_backends(),
-        default=None,
-        help="neighbour-search backend of the dynamic topology "
-        "(exact = bit-identical default, incremental = partial re-queries, "
-        "lsh = approximate hashing)",
-    )
-    train.add_argument(
         "--profile",
         action="store_true",
         help="record per-op timings and print the hottest ops after training",
@@ -125,12 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("float64", "float32"),
         default="float64",
         help="floating-point policy for every training run",
-    )
-    compare.add_argument(
-        "--neighbor-backend",
-        choices=available_neighbor_backends(),
-        default=None,
-        help="neighbour-search backend for every dynamic-topology model",
     )
 
     export = subparsers.add_parser(
@@ -153,13 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--nodes", type=int, default=None, help="override dataset size")
     export.add_argument(
         "--precision", choices=("float64", "float32"), default="float64"
-    )
-    export.add_argument(
-        "--neighbor-backend",
-        choices=available_neighbor_backends(),
-        default="incremental",
-        help="backend whose state is captured into the bundle "
-        "(incremental enables online insertion after load)",
     )
     export.add_argument(
         "--result", default=None, help="also save the TrainResult as JSON here"
@@ -193,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         "hyperedges before answering (bounds frozen-membership staleness)",
     )
     predict.add_argument(
-        "--stats", action="store_true", help="print session/cache statistics"
+        "--stats", action="store_true", help="print session statistics"
     )
 
     serve = subparsers.add_parser(
@@ -327,14 +305,11 @@ def _command_train(args: argparse.Namespace) -> int:
         weight_decay=args.weight_decay,
         patience=args.patience if args.patience > 0 else None,
         precision=args.precision,
-        neighbor_backend=args.neighbor_backend,
     )
     result = Trainer(model, dataset, config, profile=args.profile).train()
     print(f"dataset          : {dataset.name} ({dataset.n_nodes} nodes)")
     print(f"model            : {args.model} ({result.n_parameters} parameters)")
     print(f"precision        : {config.precision}")
-    if config.neighbor_backend is not None:
-        print(f"neighbor backend : {config.neighbor_backend}")
     print(f"best val accuracy: {result.best_val_accuracy:.4f} (epoch {result.best_epoch})")
     print(f"test accuracy    : {result.test_accuracy:.4f}")
     print(f"test macro-F1    : {result.test_macro_f1:.4f}")
@@ -370,7 +345,6 @@ def _command_compare(args: argparse.Namespace) -> int:
             epochs=args.epochs,
             patience=None,
             precision=args.precision,
-            neighbor_backend=args.neighbor_backend,
         ),
         title="repro compare",
     )
@@ -389,7 +363,6 @@ def _command_export(args: argparse.Namespace) -> int:
         weight_decay=args.weight_decay,
         patience=args.patience if args.patience > 0 else None,
         precision=args.precision,
-        neighbor_backend=args.neighbor_backend,
     )
     trainer = Trainer(model, dataset, config)
     result = trainer.train()
@@ -563,6 +536,12 @@ def _command_stats(args: argparse.Namespace) -> int:
             "last_seq": pool.get("last_seq"),
             "failure": pool.get("failure"),
         })
+        for row in pool.get("writer", {}).get("neighbors", []):
+            print()
+            _print_kv_block(
+                f"k-NN index, layer {row['layer']}",
+                {key: value for key, value in row.items() if key != "layer"},
+            )
 
     metrics = payload.get("metrics", {})
     histograms = metrics.get("histograms", {})

@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import copy
 from typing import Hashable
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import ConfigurationError
-from repro.hypergraph.construction import kmeans_hyperedges, knn_hyperedges, union_hypergraphs
+from repro.hypergraph.construction import (
+    hyperedges_from_neighbor_indices,
+    kmeans_hyperedges,
+    union_hypergraphs,
+)
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.laplacian import compactness_hyperedge_weights
-from repro.hypergraph.refresh import TopologyRefreshEngine, get_default_engine
+from repro.hypergraph.laplacian import (
+    compactness_hyperedge_weights,
+    hypergraph_propagation_operator,
+)
+from repro.hypergraph.neighbors import IncrementalBackend
 from repro.utils.rng import as_rng
 
 
@@ -33,14 +41,10 @@ class DynamicHypergraphBuilder:
     gradients flow through the convolution weights and the features, exactly
     as in the DHGNN family.
 
-    Construction runs through a :class:`TopologyRefreshEngine`: the k-NN step
-    goes through the engine's neighbour-search backend (exact chunked by
-    default; incremental / LSH via ``engine.backend`` — see
-    :mod:`repro.hypergraph.neighbors`) and the propagation operator comes
-    from the engine's cache.  On every :meth:`build_operator` call the
-    previously built topology's cache entries are discarded — a refresh
-    supersedes them, so keeping them would only crowd out live static
-    operators.
+    Each slot (DHGCN passes its layer index) owns one incremental k-NN index
+    (:class:`~repro.hypergraph.neighbors.IncrementalBackend`) that
+    remembers the slot's previous embedding, so a refresh re-queries only
+    the rows that moved; the answer equals a cold rebuild (float64).
     """
 
     def __init__(
@@ -53,7 +57,7 @@ class DynamicHypergraphBuilder:
         use_edge_weighting: bool = True,
         weight_temperature: float = 1.0,
         seed=None,
-        engine: TopologyRefreshEngine | None = None,
+        knn_block_size: int | None = None,
     ) -> None:
         if not use_knn and not use_cluster:
             raise ConfigurationError("at least one hyperedge generator must be enabled")
@@ -69,9 +73,11 @@ class DynamicHypergraphBuilder:
         self.use_cluster = bool(use_cluster)
         self.use_edge_weighting = bool(use_edge_weighting)
         self.weight_temperature = float(weight_temperature)
-        self.engine = engine if engine is not None else get_default_engine()
+        self.knn_block_size = knn_block_size
         self._rng = as_rng(seed)
-        #: Previously built topology per slot (see :meth:`build_operator`).
+        #: Each slot's own k-NN index (see :meth:`build_operator`).
+        self._indices: dict[Hashable, IncrementalBackend] = {}
+        #: Most recently built topology per slot.
         self._last_hypergraphs: dict[Hashable, Hypergraph] = {}
         #: Number of hypergraph constructions performed (refresh diagnostics).
         self.build_count = 0
@@ -80,7 +86,39 @@ class DynamicHypergraphBuilder:
     # Construction
     # ------------------------------------------------------------------ #
     def build_hypergraph(self, embedding: np.ndarray) -> Hypergraph:
-        """Construct the dynamic hypergraph for ``embedding`` (``(n, d)`` array).
+        """The dynamic hypergraph a refresh would build from ``embedding``.
+
+        A probe: it touches no training state.  The k-NN step runs cold (no
+        slot's index), k-means draws its seeds from a *copy* of the builder's
+        generator, and :attr:`build_count` is not incremented — so probing
+        the topology mid-training leaves the run bit-identical to an
+        unprobed one.  Raises :class:`~repro.errors.ConfigurationError` for
+        a non-2-D ``embedding``.
+        """
+        return self._construct(
+            embedding, IncrementalBackend(block_size=self.knn_block_size),
+            copy.deepcopy(self._rng),
+        )
+
+    def build_operator(self, embedding: np.ndarray, *, slot: Hashable = None) -> sp.csr_matrix:
+        """Refresh ``slot``'s dynamic topology; returns its propagation operator.
+
+        The k-NN step queries ``slot``'s own index, so layer k's refresh
+        repairs from layer k's previous embedding — never from a sibling
+        layer built a moment earlier.  Counts toward :attr:`build_count`.
+        """
+        index = self._indices.get(slot)
+        if index is None:
+            index = self._indices[slot] = IncrementalBackend(block_size=self.knn_block_size)
+        hypergraph = self._construct(embedding, index, self._rng)
+        self.build_count += 1
+        self._last_hypergraphs[slot] = hypergraph
+        return hypergraph_propagation_operator(hypergraph)
+
+    def _construct(
+        self, embedding: np.ndarray, index: IncrementalBackend, rng: np.random.Generator
+    ) -> Hypergraph:
+        """k-NN (through ``index``) + k-means (seeded by ``rng``) + weights.
 
         The k-NN generator keeps the embedding dtype (float32 embeddings get
         float32 distance slabs); k-means and the compactness weights cast to
@@ -94,42 +132,17 @@ class DynamicHypergraphBuilder:
         parts: list[Hypergraph] = []
         if self.use_knn:
             k = min(self.k_neighbors, max(n - 1, 1))
-            # Routing through the engine (rather than its backend directly)
-            # engages the content-keyed neighbour memo: layers or sweep runs
-            # querying an identical embedding share one distance pass.
-            parts.append(knn_hyperedges(embedding, k, engine=self.engine))
+            parts.append(hyperedges_from_neighbor_indices(index.query(embedding, k)))
         if self.use_cluster:
             clusters = min(self.n_clusters, n)
-            parts.append(kmeans_hyperedges(embedding, clusters, seed=self._rng))
+            parts.append(kmeans_hyperedges(embedding, clusters, seed=rng))
         hypergraph = union_hypergraphs(*parts)
         if self.use_edge_weighting and hypergraph.n_hyperedges > 0:
             weights = compactness_hyperedge_weights(
                 hypergraph, embedding, temperature=self.weight_temperature
             )
             hypergraph = hypergraph.with_weights(weights)
-        self.build_count += 1
         return hypergraph
-
-    def build_operator(self, embedding: np.ndarray, *, slot: Hashable = None) -> sp.csr_matrix:
-        """Construct the normalised propagation operator of the dynamic hypergraph.
-
-        A refresh that changed the structure invalidates the superseded
-        topology's cached operators; an identical rebuild hits the cache.
-
-        ``slot`` identifies *whose* previous topology this build supersedes.
-        A model whose layers share one builder (DHGCN) passes its layer index,
-        so layer k's refresh compares against layer k's own previous topology
-        — not the sibling layer built a moment earlier — and an unchanged
-        layer keeps hitting its cached operator.
-        """
-        hypergraph = self.build_hypergraph(embedding)
-        operator = self.engine.refresh_operator(self._last_hypergraphs.get(slot), hypergraph)
-        self._last_hypergraphs[slot] = hypergraph
-        return operator
-
-    def cache_stats(self) -> dict[str, int | float]:
-        """Hit/miss statistics of the engine's operator cache."""
-        return self.engine.stats()
 
     def __repr__(self) -> str:
         return (

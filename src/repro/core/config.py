@@ -6,7 +6,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 from repro.errors import ConfigurationError
-from repro.hypergraph.neighbors import NeighborBackend, validate_neighbor_backend_spec
 
 _FUSION_MODES = ("gate", "sum", "static_only", "dynamic_only")
 
@@ -45,18 +44,6 @@ class DHGCNConfig:
         Query-block size of the chunked k-NN used by the dynamic topology
         (``None`` = library default).  Memory/speed knob only — the selected
         neighbours are identical for every value.
-    neighbor_backend:
-        Neighbour-search backend of the dynamic topology
-        (:mod:`repro.hypergraph.neighbors`): ``None`` = exact (bit-identical
-        to the seed behaviour), ``"incremental"`` = exact with partial
-        re-queries between refreshes, ``"lsh"`` = approximate hashing, or a
-        configured :class:`~repro.hypergraph.neighbors.NeighborBackend`
-        instance (e.g. ``IncrementalBackend(tolerance=0.5)``).
-    use_operator_cache:
-        Reuse propagation operators through the process-wide
-        :class:`repro.hypergraph.TopologyRefreshEngine` when the hypergraph
-        is structurally unchanged.  Never changes model outputs (pinned by
-        ``tests/test_refresh_engine.py``); disable for profiling cold builds.
     """
 
     hidden_dim: int = 32
@@ -73,8 +60,6 @@ class DHGCNConfig:
     weight_temperature: float = 3.0
     fusion: str = "gate"
     knn_block_size: int | None = None
-    neighbor_backend: "str | NeighborBackend | None" = None
-    use_operator_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.hidden_dim < 1:
@@ -99,7 +84,6 @@ class DHGCNConfig:
             raise ConfigurationError(
                 f"knn_block_size must be >= 1 or None, got {self.knn_block_size}"
             )
-        validate_neighbor_backend_spec(self.neighbor_backend)
         if not self.use_static and not self.use_dynamic:
             raise ConfigurationError("at least one of use_static / use_dynamic must be enabled")
         if self.use_dynamic and not (self.use_knn_hyperedges or self.use_cluster_hyperedges):

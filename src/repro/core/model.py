@@ -11,8 +11,10 @@ from repro.core.config import DHGCNConfig
 from repro.core.layers import DualChannelBlock
 from repro.data.dataset import NodeClassificationDataset
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.laplacian import compactness_hyperedge_weights
-from repro.hypergraph.refresh import TopologyRefreshEngine
+from repro.hypergraph.laplacian import (
+    compactness_hyperedge_weights,
+    hypergraph_propagation_operator,
+)
 from repro.models.base import BaseNodeClassifier
 from repro.nn import Dropout
 from repro.nn.container import ModuleList
@@ -72,16 +74,6 @@ class DHGCN(BaseNodeClassifier):
         )
         self.dropout = Dropout(self.config.dropout, seed=block_rngs[-2])
 
-        # Topology-refresh engine: chunked k-NN block size + operator cache.
-        # With the cache enabled the process-wide cache is shared so sweeps
-        # over seeds / refresh periods reuse each other's static operators;
-        # disabling it gives this model a private always-miss cache.
-        self.refresh_engine = TopologyRefreshEngine.for_model(
-            use_cache=self.config.use_operator_cache,
-            block_size=self.config.knn_block_size,
-            backend=self.config.neighbor_backend,
-        )
-
         if self.config.use_dynamic:
             self.builder = DynamicHypergraphBuilder(
                 k_neighbors=self.config.k_neighbors,
@@ -91,7 +83,7 @@ class DHGCN(BaseNodeClassifier):
                 use_edge_weighting=self.config.use_edge_weighting,
                 weight_temperature=self.config.weight_temperature,
                 seed=rng,
-                engine=self.refresh_engine,
+                knn_block_size=self.config.knn_block_size,
             )
         else:
             self.builder = None
@@ -116,7 +108,7 @@ class DHGCN(BaseNodeClassifier):
     def _setup(self, dataset: NodeClassificationDataset) -> None:
         if self.config.use_static:
             self._static_hypergraph = dataset.hypergraph
-            self._static_operator = self.refresh_engine.propagation_operator(dataset.hypergraph)
+            self._static_operator = hypergraph_propagation_operator(dataset.hypergraph)
         else:
             self._static_hypergraph = None
             self._static_operator = None
@@ -149,11 +141,8 @@ class DHGCN(BaseNodeClassifier):
         weights = compactness_hyperedge_weights(
             self._static_hypergraph, reference, temperature=self.config.weight_temperature
         )
-        reweighted = self._static_hypergraph.with_weights(weights)
-        self._static_operator = self.refresh_engine.refresh_operator(
-            self._reweighted_static, reweighted
-        )
-        self._reweighted_static = reweighted
+        self._reweighted_static = self._static_hypergraph.with_weights(weights)
+        self._static_operator = hypergraph_propagation_operator(self._reweighted_static)
 
     def on_epoch(self, epoch: int) -> None:
         """Schedule a dynamic-topology rebuild every ``refresh_period`` epochs."""
@@ -204,33 +193,27 @@ class DHGCN(BaseNodeClassifier):
         """How many times the dynamic topology was rebuilt so far."""
         return 0 if self.builder is None else self.builder.build_count
 
-    def topology_cache_stats(self) -> dict[str, int | float]:
-        """Operator-cache statistics of the refresh engine.
-
-        With ``use_operator_cache`` enabled the counters are those of the
-        process-wide shared cache, i.e. they aggregate over every cache-enabled
-        model in this process.
-        """
-        return self.refresh_engine.stats()
-
     def export_dynamic_state(self) -> dict:
         """Snapshot of the resolved operators and topologies for serving.
 
         The contract :meth:`repro.serving.FrozenModel.compile` consumes: the
         static channel's operator and (re)weighted hypergraphs plus, per
-        block, the dynamic operator and the pooled hypergraph it was built
-        from.  Operators are shared (they are read-only constants), not
-        copied.
+        block, the dynamic operator, the pooled hypergraph it was built from
+        and the block's k-NN index (``None`` before its first refresh).
+        Operators are shared (they are read-only constants), not copied;
+        the compiler clones the indices.
         """
         self.require_setup()
-        layer_hypergraphs = [
-            None if self.builder is None else self.builder._last_hypergraphs.get(position)
-            for position in range(self.config.n_layers)
-        ]
+        positions = range(self.config.n_layers)
+        builder = self.builder
         return {
             "static_operator": self._static_operator,
             "static_hypergraph": self._static_hypergraph,
             "reweighted_static": self._reweighted_static,
             "dynamic_operators": list(self._dynamic_operators),
-            "layer_hypergraphs": layer_hypergraphs,
+            "layer_hypergraphs": [
+                None if builder is None else builder._last_hypergraphs.get(p)
+                for p in positions
+            ],
+            "indices": [None if builder is None else builder._indices.get(p) for p in positions],
         }

@@ -10,9 +10,9 @@ any number of nodes.  The package provides:
 * construction algorithms (k-NN hyperedges, k-means cluster hyperedges,
   ε-ball hyperedges, graph-neighbourhood hyperedges) used for both the static
   hypergraph and the dynamic topology of DHGCN;
-* the topology-refresh engine (chunked k-NN plus a fingerprint-keyed
-  propagation-operator cache) that keeps the dynamic-topology hot path
-  O(n·block) in memory and free of redundant sparse rebuilds;
+* the chunked exact k-NN kernel and the incremental k-NN index every
+  dynamic layer owns, which keep the dynamic-topology hot path O(n·block)
+  in memory and re-query only the rows a change can have invalidated;
 * clique / star expansions into pairwise graphs;
 * structural statistics used by the dataset-description table.
 """
@@ -36,42 +36,18 @@ from repro.hypergraph.knn import (
 )
 from repro.hypergraph.laplacian import hypergraph_laplacian, hypergraph_propagation_operator
 from repro.hypergraph.metrics import hyperedge_homophily, hypergraph_statistics
-from repro.hypergraph.neighbors import (
-    ExactBackend,
-    IncrementalBackend,
-    LSHBackend,
-    NeighborBackend,
-    available_neighbor_backends,
-    register_neighbor_backend,
-    resolve_backend,
-)
-from repro.hypergraph.refresh import (
-    OperatorCache,
-    TopologyRefreshEngine,
-    get_default_engine,
-    reset_default_engine,
-)
+from repro.hypergraph.neighbors import IncrementalBackend
 
 __all__ = [
     "Hypergraph",
     "hypergraph_propagation_operator",
     "hypergraph_laplacian",
-    "OperatorCache",
-    "TopologyRefreshEngine",
-    "get_default_engine",
-    "reset_default_engine",
     "DISTANCE_COUNTERS",
     "knn_indices",
     "knn_indices_bruteforce",
     "knn_query_rows",
     "pairwise_distances",
-    "NeighborBackend",
-    "ExactBackend",
     "IncrementalBackend",
-    "LSHBackend",
-    "available_neighbor_backends",
-    "register_neighbor_backend",
-    "resolve_backend",
     "assign_to_centroids",
     "kmeans",
     "KMeansResult",

@@ -25,35 +25,25 @@ def knn_hyperedges(
     *,
     metric: str = "euclidean",
     block_size: int | None = None,
-    backend=None,
-    engine=None,
 ) -> Hypergraph:
     """One hyperedge per node: the node plus its ``k`` nearest neighbours.
 
     This is the "common/local information" generator of the dynamic topology:
     it produces ``n`` hyperedges of size ``k + 1``.  ``block_size`` is
     forwarded to the chunked k-NN (:func:`repro.hypergraph.knn.knn_indices`)
-    and changes memory use only, never the neighbour sets.  ``backend``
-    selects the neighbour-search backend (``None`` = the exact chunked
-    kernel; see :mod:`repro.hypergraph.neighbors`) — approximate backends may
-    change the neighbour sets, exact ones never do.  ``engine`` (a
-    :class:`repro.hypergraph.refresh.TopologyRefreshEngine`) routes the query
-    through the engine's backend *and* its content-keyed neighbour memo, so
-    identical embeddings share one distance pass; it supersedes ``backend`` /
-    ``block_size`` when given.
+    and changes memory use only, never the neighbour sets.  The dynamic
+    layers query their own incremental index instead and assemble its answer
+    with :func:`hyperedges_from_neighbor_indices`; the neighbour sets are the
+    same.
 
     float32 features are queried in float32 (the distance slabs stay float32
     — see :func:`repro.hypergraph.knn.distance_block`); everything else is
     cast to float64 as before.
     """
     features = as_feature_matrix(features)
-    if engine is not None:
-        neighbours = engine.query_neighbors(features, k, include_self=False, metric=metric)
-    else:
-        neighbours = knn_indices(
-            features, k, include_self=False, metric=metric, block_size=block_size,
-            backend=backend,
-        )
+    neighbours = knn_indices(
+        features, k, include_self=False, metric=metric, block_size=block_size
+    )
     return hyperedges_from_neighbor_indices(neighbours)
 
 
@@ -65,14 +55,14 @@ def hyperedges_from_neighbor_indices(
 ) -> Hypergraph:
     """Hypergraph with one hyperedge per row: ``[node, *neighbours[node]]``.
 
-    The shared assembly step of :func:`knn_hyperedges` and the serving
-    layer's scoped topology refresh (which obtains the index rows from an
-    incremental backend instead of a fresh query).
+    The shared assembly step of :func:`knn_hyperedges` and the dynamic
+    layers' refreshes (which obtain the index rows from their own
+    incremental index instead of a fresh query).
 
     ``node_ids`` supports queries over a node *subset* (the serving layer's
     tombstone mode): row ``i`` then describes node ``node_ids[i]`` and every
-    neighbour entry is a position into ``node_ids`` — the compact indexing a
-    backend query over the subset's features returns — and is mapped back to
+    neighbour entry is a position into ``node_ids`` — the compact indexing an
+    index query over the subset's features returns — and is mapped back to
     the full id space.  ``n_nodes`` sets the node count of the resulting
     hypergraph (default: the number of query rows); nodes outside the subset
     simply belong to no k-NN hyperedge.

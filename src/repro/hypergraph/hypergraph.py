@@ -2,26 +2,12 @@
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import HypergraphStructureError
-
-
-def _stable_digest(*parts: bytes) -> int:
-    """64-bit digest of ``parts`` that is stable across processes.
-
-    Python's built-in ``hash`` of ``bytes`` is salted per process
-    (``PYTHONHASHSEED``), which would make fingerprints useless as keys of a
-    *persistent* operator store; blake2b is deterministic everywhere.
-    """
-    digest = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        digest.update(part)
-    return int.from_bytes(digest.digest(), "little")
 
 
 class Hypergraph:
@@ -81,7 +67,6 @@ class Hypergraph:
         # without a defensive per-access copy.
         self._weights.setflags(write=False)
         self._incidence_cache: sp.csr_matrix | None = None
-        self._fingerprint: tuple[int, int, int, int] | None = None
 
     # ------------------------------------------------------------------ #
     # Accessors
@@ -143,32 +128,6 @@ class Hypergraph:
         for edge in self._hyperedges:
             covered[list(edge)] = True
         return np.nonzero(~covered)[0]
-
-    def fingerprint(self) -> tuple[int, int, int, int]:
-        """Cheap structural fingerprint ``(n_nodes, n_hyperedges, edge-hash, weight-hash)``.
-
-        Two hypergraphs with the same fingerprint have (up to 64-bit hash
-        collisions) the same node count, hyperedge tuples and bit-identical
-        weights, so any operator derived from one is valid for the other.
-        Used by :class:`repro.hypergraph.refresh.OperatorCache` to key cached
-        propagation operators; computed once and memoised because the
-        structure is immutable.  The hashes are **stable across processes**
-        (blake2b, not the salted built-in ``hash``), which is what lets
-        :class:`repro.serving.OperatorStore` persist cache entries to disk and
-        restore them in a different process.
-        """
-        if self._fingerprint is None:
-            sizes = self.hyperedge_sizes()
-            members = np.array(
-                [node for edge in self._hyperedges for node in edge], dtype=np.int64
-            )
-            self._fingerprint = (
-                self.n_nodes,
-                self.n_hyperedges,
-                _stable_digest(sizes.tobytes(), members.tobytes()),
-                _stable_digest(self._weights.tobytes()),
-            )
-        return self._fingerprint
 
     # ------------------------------------------------------------------ #
     # Derived hypergraphs

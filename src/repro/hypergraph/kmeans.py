@@ -61,8 +61,8 @@ def assign_to_centroids(features: np.ndarray, centroids: np.ndarray) -> np.ndarr
     (:meth:`repro.serving.InferenceSession.reassign_clusters`): memberships
     move to the nearest of the *existing* centroids — no Lloyd iteration, no
     re-seeding — so the step is deterministic (ties resolve to the lowest
-    centroid index, matching :func:`kmeans`'s argmin), backend-independent
-    and O(n·c·d).
+    centroid index, matching :func:`kmeans`'s argmin), independent of any
+    k-NN state and O(n·c·d).
     """
     features = np.asarray(features, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)

@@ -9,22 +9,22 @@ This module is the *exact* kernel of the neighbour-search layer:
   and extracts the top-``k`` per row with ``argpartition`` — O(n·block)
   memory;
 * :func:`knn_query_rows` answers the same question for an arbitrary *subset*
-  of query rows (the primitive the incremental backend re-queries moved
-  nodes with).
+  of query rows (the primitive the incremental index re-queries moved nodes
+  with).
 
-Alternative backends (incremental re-query, locality-sensitive hashing) live
-in :mod:`repro.hypergraph.neighbors` and are reachable from here through
-``knn_indices(backend=...)`` — every backend honours the same contract and is
-pinned against this kernel by ``tests/test_neighbor_backends.py``.
+Each dynamic layer keeps its neighbours in an incremental index
+(:class:`repro.hypergraph.neighbors.IncrementalBackend`): its full rebuild
+runs this kernel, and its partial refreshes are pinned bit-identical to it by
+``tests/test_neighbor_backends.py``.
 
-Tie-breaking (the backend contract)
------------------------------------
+Tie-breaking (the index contract)
+---------------------------------
 Neighbour order is **fully deterministic**: rows are sorted by
 ``(distance, node_index)``, so among equidistant neighbours the *smaller node
 index always wins*.  Both the brute-force and the chunked path implement this
 via a stable lexsort, which makes their outputs bit-identical and gives the
-pluggable backends a well-defined equivalence target (pinned by
-``tests/test_refresh_engine.py`` and the backend contract suite, including
+incremental index a well-defined equivalence target (pinned by
+``tests/test_refresh_engine.py`` and the index contract suite, including
 duplicated-point inputs where every distance ties at zero).
 
 Distance slabs follow the feature dtype: float64 features use
@@ -136,7 +136,7 @@ def _validate(
     """Normalise ``features`` and validate (or clamp) ``k``.
 
     Returns ``(features, k)``.  By default an infeasible ``k`` raises — the
-    historical contract, pinned by the backend suite.  With ``clamp_k=True``
+    historical contract, pinned by the index suite.  With ``clamp_k=True``
     the requested ``k`` is reduced to the largest feasible value instead,
     which is what churned serving sessions need: after heavy deletion a
     session can drop below ``k + 1`` rows, and the refresh should degrade to
@@ -166,8 +166,8 @@ def knn_indices_bruteforce(
 ) -> np.ndarray:
     """Reference k-NN via the full distance matrix (O(n²) memory).
 
-    Kept as the ground truth every other backend is verified against; prefer
-    :func:`knn_indices` everywhere else.
+    Kept as the ground truth the chunked kernel and the incremental index are
+    verified against; prefer :func:`knn_indices` everywhere else.
     """
     features, k = _validate(features, k, include_self, clamp_k=clamp_k)
     n = features.shape[0]
@@ -186,7 +186,6 @@ def knn_indices(
     include_self: bool = False,
     metric: str = "euclidean",
     block_size: int | None = None,
-    backend=None,
     clamp_k: bool = False,
 ) -> np.ndarray:
     """Indices of the ``k`` nearest neighbours of every row of ``features``.
@@ -205,11 +204,6 @@ def knn_indices(
         :data:`DEFAULT_BLOCK_SIZE`).  Any positive value — including one
         larger than ``n`` — yields the same result; it only trades memory
         for the number of ``cdist`` calls.
-    backend:
-        Neighbour-search backend: ``None`` (this exact chunked kernel), a
-        registered backend name (``"exact"``, ``"incremental"``, ``"lsh"``)
-        or a :class:`repro.hypergraph.neighbors.NeighborBackend` instance.
-        Named backends are constructed with this ``block_size``.
     clamp_k:
         When ``True`` an infeasible ``k`` is clamped to the population limit
         (``n - 1``, or ``n`` with ``include_self``) instead of raising; a
@@ -222,14 +216,6 @@ def knn_indices(
         distance (ties broken deterministically by node index — see the
         module docstring).
     """
-    if backend is not None:
-        from repro.hypergraph.neighbors import resolve_backend
-
-        resolved = resolve_backend(backend, block_size=block_size)
-        return resolved.query(
-            features, k, include_self=include_self, metric=metric, clamp_k=clamp_k
-        )
-
     features, k = _validate(features, k, include_self, clamp_k=clamp_k)
     n = features.shape[0]
     indices, _ = knn_query_rows(
@@ -256,10 +242,10 @@ def knn_query_rows(
     """Exact k-NN restricted to the query ``rows`` (chunked, tie-safe).
 
     The primitive shared by the full chunked search (``rows = arange(n)``)
-    and the incremental backend (``rows`` = the invalidated nodes).  Returns
+    and the incremental index (``rows`` = the invalidated nodes).  Returns
     ``(indices, distances)``, both ``(len(rows), k)``, where ``distances``
     holds each selected neighbour's distance **as computed by the distance
-    kernel** — the incremental backend compares mover distances against (and
+    kernel** — the incremental index compares mover distances against (and
     locally re-sorts) these values, so they must come from the same kernel,
     not a recomputation.
     """

@@ -18,9 +18,14 @@ from repro.autograd.ops_sparse import spmm
 from repro.autograd.tensor import Tensor, as_tensor
 from repro.data.dataset import NodeClassificationDataset
 from repro.errors import ConfigurationError
-from repro.hypergraph.construction import kmeans_hyperedges, knn_hyperedges, union_hypergraphs
+from repro.hypergraph.construction import (
+    hyperedges_from_neighbor_indices,
+    kmeans_hyperedges,
+    union_hypergraphs,
+)
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.refresh import TopologyRefreshEngine
+from repro.hypergraph.laplacian import hypergraph_propagation_operator
+from repro.hypergraph.neighbors import IncrementalBackend
 from repro.models.base import BaseNodeClassifier
 from repro.nn import Dropout, Linear
 from repro.nn.container import ModuleList
@@ -44,15 +49,11 @@ class DHGNN(BaseNodeClassifier):
     knn_block_size:
         Query-block size of the chunked k-NN (``None`` = library default);
         memory knob only, the neighbour sets are identical for every value.
-    neighbor_backend:
-        Neighbour-search backend used by the dynamic topology
-        (:mod:`repro.hypergraph.neighbors`): ``None`` = exact,
-        ``"incremental"`` re-queries only moved nodes between refreshes,
-        ``"lsh"`` is approximate hashing.
-    use_operator_cache:
-        Reuse propagation operators through the process-wide
-        :class:`repro.hypergraph.TopologyRefreshEngine`; never changes model
-        outputs.
+
+    Every layer owns one incremental k-NN index
+    (:class:`~repro.hypergraph.neighbors.IncrementalBackend`): a refresh
+    re-queries only the rows of that layer's embedding that moved, and the
+    answer equals a cold rebuild (float64).
     """
 
     name = "DHGNN"
@@ -69,8 +70,6 @@ class DHGNN(BaseNodeClassifier):
         refresh_period: int = 5,
         seed=None,
         knn_block_size: int | None = None,
-        neighbor_backend: str | None = None,
-        use_operator_cache: bool = True,
     ) -> None:
         super().__init__()
         if n_layers < 1:
@@ -90,11 +89,7 @@ class DHGNN(BaseNodeClassifier):
         self.k_neighbors = int(k_neighbors)
         self.n_clusters = int(n_clusters)
         self.refresh_period = int(refresh_period)
-        self.refresh_engine = TopologyRefreshEngine.for_model(
-            use_cache=use_operator_cache,
-            block_size=knn_block_size,
-            backend=neighbor_backend,
-        )
+        self._indices = [IncrementalBackend(block_size=knn_block_size) for _ in range(n_layers)]
         self._construction_rng = as_rng(seed)
         self._static_hypergraph = None
         self._operators: list[sp.csr_matrix | None] = [None] * n_layers
@@ -120,38 +115,28 @@ class DHGNN(BaseNodeClassifier):
     def _build_operator(self, embedding: np.ndarray, position: int) -> sp.csr_matrix:
         k = min(self.k_neighbors, embedding.shape[0] - 1)
         clusters = min(self.n_clusters, embedding.shape[0])
-        # The engine route memoises neighbour lists by embedding content, so
-        # layers sharing an embedding (and repeated builds across a sweep)
-        # reuse one distance pass.
-        local = knn_hyperedges(embedding, k, engine=self.refresh_engine)
+        local = hyperedges_from_neighbor_indices(self._indices[position].query(embedding, k))
         global_ = kmeans_hyperedges(embedding, clusters, seed=self._construction_rng)
         parts = [local, global_]
         if self._static_hypergraph is not None:
             parts.append(self._static_hypergraph)
         pooled = union_hypergraphs(*parts)
-        # Refresh protocol: a structurally changed topology invalidates the
-        # one this layer is abandoning; an identical rebuild hits the cache.
-        operator = self.refresh_engine.refresh_operator(
-            self._layer_hypergraphs[position], pooled
-        )
         self._layer_hypergraphs[position] = pooled
-        return operator
-
-    def topology_cache_stats(self) -> dict[str, int | float]:
-        """Operator-cache statistics of the refresh engine (shared cache)."""
-        return self.refresh_engine.stats()
+        return hypergraph_propagation_operator(pooled)
 
     def export_dynamic_state(self) -> dict:
         """Snapshot of the per-layer operators and pooled topologies.
 
         The contract :meth:`repro.serving.FrozenModel.compile` consumes;
-        operators are shared (read-only constants), not copied.
+        operators are shared (read-only constants), not copied, and the
+        compiler clones the per-layer k-NN indices.
         """
         self.require_setup()
         return {
             "operators": list(self._operators),
             "layer_hypergraphs": list(self._layer_hypergraphs),
             "static_hypergraph": self._static_hypergraph,
+            "indices": list(self._indices),
         }
 
     def forward(self, features: Tensor) -> Tensor:

@@ -2,15 +2,14 @@
 
 The serving stack (:mod:`repro.serving`) reports every operational signal —
 request counts and latencies, requests in flight and load shed, WAL
-append/fsync cost, publish and checkpoint duration, cache hit rates —
+append/fsync cost, publish and checkpoint duration —
 through one :class:`MetricsRegistry`.
 The registry is deliberately small and dependency-free:
 
 * **Counters** are monotonic floats, optionally labelled
   (``counter.inc(1, route="/predict", status="200")``).  Sources that keep
-  their own authoritative cumulative counts (the operator cache, a
-  neighbour backend) are mirrored at scrape time via
-  :meth:`Counter.set_total`.
+  their own authoritative cumulative counts (the ``--profile`` op
+  profiler) are mirrored at scrape time via :meth:`Counter.set_total`.
 * **Gauges** are instantaneous values, settable directly or computed by a
   registered *collector* right before a scrape, so ``/metrics`` and
   ``/stats`` always serve live numbers from one code path.
@@ -178,7 +177,7 @@ class Counter(_Instrument):
         """Mirror an external cumulative total (scrape-time collectors).
 
         For sources that already keep their own authoritative counters (the
-        operator cache, a neighbour backend): the registry child is set to
+        ``--profile`` op profiler): the registry child is set to
         the source's value, never below its previous one, so the exposed
         series stays monotonic even across a source reset.
         """

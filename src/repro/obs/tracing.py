@@ -10,7 +10,7 @@ in :func:`span`::
     with activate(trace):
         ...                     # anywhere below, sync or async:
         with span("knn"):
-            backend.query(...)
+            index.query(...)
 
 ``contextvars`` gives the propagation the property the serving stack needs
 for free: each asyncio task sees its own activation, so concurrent requests

@@ -6,8 +6,8 @@ The serving layer turns a trained model into a deployable artefact:
   forward plan reusing the already-resolved propagation operators; logits
   are bit-identical to ``Trainer`` evaluation;
 * :class:`OperatorStore` — one-file persistence of operators, weights and
-  incremental neighbour state, so server restarts (and repeated sweeps)
-  skip cold topology rebuilds entirely;
+  each layer's k-NN index state, so server restarts skip cold topology
+  rebuilds entirely;
 * :class:`InferenceSession` — queries plus the full online node lifecycle
   through scoped incremental topology repairs: feature updates, insertion,
   deletion (lazy tombstoning), compaction (physical shrink + id remap) and
@@ -56,12 +56,7 @@ from repro.serving.faults import (
     fault_point,
     fault_registry,
 )
-from repro.serving.frozen import (
-    FrozenModel,
-    TopologySlot,
-    backend_from_cache_key,
-    prime_backend,
-)
+from repro.serving.frozen import FrozenModel, TopologySlot
 from repro.serving.server import (
     ServerConfig,
     ServingServer,
@@ -96,13 +91,11 @@ __all__ = [
     "WALRecord",
     "WriteAheadLog",
     "WriterQuarantinedError",
-    "backend_from_cache_key",
     "clear_faults",
     "configure_faults",
     "declare_fault_point",
     "fault_point",
     "fault_registry",
     "pack_hypergraph",
-    "prime_backend",
     "unpack_hypergraph",
 ]

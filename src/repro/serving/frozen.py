@@ -6,8 +6,8 @@ operators — whose forward pass performs exactly the arithmetic of the
 module's evaluation forward, in the same order, but with no tensor wrappers,
 no autograd bookkeeping, no dropout modules and no topology code on the hot
 path.  Logits are **bit-identical** to ``Trainer`` evaluation (pinned by
-``tests/test_serving.py`` for every neighbour backend and both precision
-policies); the only thing that changes is how fast they are produced.
+``tests/test_serving.py`` under both precision policies); the only thing
+that changes is how fast they are produced.
 
 Two model families get dedicated plans (:class:`DHGNN
 <repro.models.DHGNN>` and :class:`DHGCN <repro.core.DHGCN>` — the dynamic
@@ -17,17 +17,24 @@ that runs the module under ``eval`` + ``no_grad`` (grad-free, but not
 module-free).
 
 A compiled plan also carries the *topology slots* — per-layer hypergraphs
-split into their k-NN / cluster / static parts plus the neighbour backend —
-which is what :class:`repro.serving.InferenceSession` uses to repair the
-topology incrementally when nodes are inserted, updated or deleted, instead
-of rebuilding it.  :meth:`FrozenModel.save` / :meth:`FrozenModel.load`
-round-trip everything through an :class:`repro.serving.OperatorStore`, so a
-restarted server answers its first request without a single k-NN distance
-computation — and since a churned session can be snapshotted back into a
-frozen model (:meth:`InferenceSession.to_frozen`), the same machinery
-round-trips post-deletion state: insert / delete / compact, checkpoint, and
-the restored process carries the compacted features, operators and
-neighbour state.
+split into their k-NN / cluster / static parts, each with the layer's own
+k-NN index — which is what :class:`repro.serving.InferenceSession` uses to
+repair the topology incrementally when nodes are inserted, updated or
+deleted, instead of rebuilding it.  :meth:`FrozenModel.save` /
+:meth:`FrozenModel.load` round-trip everything through an
+:class:`repro.serving.OperatorStore`, so a restarted server answers its
+first request without a single k-NN distance computation — and since a
+churned session can be snapshotted back into a frozen model
+(:meth:`InferenceSession.to_frozen`), the same machinery round-trips
+post-deletion state: insert / delete / compact, checkpoint, and the
+restored process carries the compacted features, operators and k-NN index
+states.
+
+Bundles written before each slot carried its own index held one shared
+backend instead (a ``meta["backend"]`` key and ``backend_state*`` groups).
+Those are ignored, whatever backend they name: such a bundle loads with
+empty indices, answers exactly as before, and each layer's first refresh
+rebuilds its k-NN cold.
 """
 
 from __future__ import annotations
@@ -40,60 +47,11 @@ import scipy.sparse as sp
 from repro.autograd.tensor import Tensor, no_grad
 from repro.errors import ConfigurationError
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.neighbors import (
-    ExactBackend,
-    IncrementalBackend,
-    LSHBackend,
-    NeighborBackend,
-)
-from repro.hypergraph.refresh import TopologyRefreshEngine
+from repro.hypergraph.neighbors import IncrementalBackend
 from repro.precision import precision as precision_scope
 from repro.serving.store import OperatorStore, pack_hypergraph, unpack_hypergraph
 
 _SERVING_FORMAT = "repro-serving-bundle/v1"
-
-
-def backend_from_cache_key(key: tuple | list) -> NeighborBackend:
-    """Reconstruct a neighbour backend from its ``cache_key()`` tuple.
-
-    Only the built-in backends are reconstructible; a custom backend's
-    bundle must be loaded with an explicitly provided instance — anything
-    else raises :class:`~repro.errors.ConfigurationError`.
-    """
-    key = tuple(key)
-    if key and key[0] == "exact":
-        return ExactBackend()
-    if key and key[0] == "incremental":
-        return IncrementalBackend(tolerance=float(key[1]), churn_threshold=float(key[2]))
-    if key and key[0] == "lsh":
-        hash_bits = None if key[2] is None else int(key[2])
-        return LSHBackend(
-            n_tables=int(key[1]), hash_bits=hash_bits, n_probes=int(key[3]), seed=int(key[4])
-        )
-    raise ConfigurationError(f"cannot reconstruct a backend from cache key {key!r}")
-
-
-def prime_backend(plan: Any, features: np.ndarray, backend: NeighborBackend) -> int:
-    """Synchronise an incremental backend's state with a plan's embeddings.
-
-    Runs one forward and queries each k-NN slot's embedding once (unless a
-    bit-matching state already exists), so later insertions/updates repair
-    instead of rebuilding.  Returns the number of slots that needed a query;
-    stateless backends and plans without slots are a no-op.
-    """
-    if not isinstance(backend, IncrementalBackend) or not plan.slots:
-        return 0
-    layer_inputs, _ = plan.run(features)
-    primed = 0
-    for slot in plan.slots:
-        if not slot.use_knn:
-            continue
-        embedding = layer_inputs[slot.position]
-        k = min(slot.k_neighbors, max(embedding.shape[0] - 1, 1))
-        if not backend.has_matching_state(embedding, k):
-            backend.query(embedding, k)
-            primed += 1
-    return primed
 
 
 class TopologySlot:
@@ -103,7 +61,7 @@ class TopologySlot:
     three parts, in construction order: ``n`` k-NN hyperedges (one per node),
     the k-means cluster hyperedges, and (DHGNN only) the dataset's static
     hyperedges.  The slot keeps the parts separate so a scoped refresh can
-    replace just the k-NN rows from an incremental backend query, extend the
+    replace just the k-NN rows from its own incremental index, extend the
     cluster memberships by centroid assignment, and pad the static part —
     instead of re-running the full construction pipeline.
     """
@@ -119,6 +77,7 @@ class TopologySlot:
         static_part: Hypergraph | None,
         weighted: bool,
         temperature: float,
+        index: IncrementalBackend | None = None,
     ) -> None:
         self.position = position
         self.hypergraph = hypergraph
@@ -128,9 +87,12 @@ class TopologySlot:
         self.static_part = static_part
         self.weighted = bool(weighted)
         self.temperature = float(temperature)
+        #: This layer's k-NN index (empty until its first query).
+        self.index = index if index is not None else IncrementalBackend()
 
     def clone(self) -> "TopologySlot":
-        """Independent copy (hypergraphs are immutable and stay shared)."""
+        """Independent copy, index included (hypergraphs are immutable and
+        stay shared)."""
         return TopologySlot(
             self.position,
             self.hypergraph,
@@ -140,6 +102,7 @@ class TopologySlot:
             static_part=self.static_part,
             weighted=self.weighted,
             temperature=self.temperature,
+            index=self.index.clone(),
         )
 
     @classmethod
@@ -154,8 +117,12 @@ class TopologySlot:
         static_part: Hypergraph | None,
         weighted: bool,
         temperature: float,
+        index: IncrementalBackend | None,
     ) -> "TopologySlot":
         """Split a pooled layer hypergraph back into its generator parts.
+
+        The slot gets a clone of ``index`` (the model layer's k-NN index),
+        or an empty index for ``None``.
 
         Raises :class:`~repro.errors.ConfigurationError` when the pooled
         edge counts cannot be reconciled with the generator flags.
@@ -183,6 +150,7 @@ class TopologySlot:
             static_part=static_part,
             weighted=weighted,
             temperature=temperature,
+            index=None if index is None else index.clone(),
         )
 
 
@@ -376,9 +344,8 @@ class FrozenModel:
     Construct with :meth:`compile` (from a live, set-up model) or
     :meth:`load` (from a bundle written by :meth:`save`).  The frozen model
     owns the feature matrix it serves (transductive models predict for their
-    node set), the compiled plan and a refresh engine whose backend carries
-    any incremental neighbour state — everything
-    :class:`repro.serving.InferenceSession` needs.
+    node set) and the compiled plan, whose topology slots carry each layer's
+    k-NN index — everything :class:`repro.serving.InferenceSession` needs.
     """
 
     def __init__(
@@ -387,14 +354,12 @@ class FrozenModel:
         features: np.ndarray,
         precision_name: str,
         *,
-        engine: TopologyRefreshEngine | None = None,
         meta: dict[str, Any] | None = None,
     ) -> None:
         self.plan = plan
         self.precision_name = precision_name
         self.dtype = np.dtype(precision_name)
         self.features = np.asarray(features).astype(self.dtype, copy=False)
-        self.engine = engine if engine is not None else TopologyRefreshEngine.for_model()
         self.meta = dict(meta or {})
 
     # ------------------------------------------------------------------ #
@@ -424,19 +389,16 @@ class FrozenModel:
 
         if isinstance(model, DHGNN):
             plan = cls._compile_dhgnn(model, features, precision)
-            engine = model.refresh_engine
         elif isinstance(model, DHGCN):
             plan = cls._compile_dhgcn(model, features, precision)
-            engine = model.refresh_engine
         else:
             if not getattr(model, "_is_setup", True):
                 raise ConfigurationError("model must be set up before freezing")
             model.eval()
             plan = _ModulePlan(model, precision)
-            engine = getattr(model, "refresh_engine", None)
 
         meta = {"model_name": getattr(model, "name", type(model).__name__)}
-        return cls(plan, features, precision, engine=engine, meta=meta)
+        return cls(plan, features, precision, meta=meta)
 
     @staticmethod
     def _materialise(model: Any, features: np.ndarray, precision: str) -> None:
@@ -469,8 +431,11 @@ class FrozenModel:
                 static_part=state["static_hypergraph"],
                 weighted=False,
                 temperature=1.0,
+                index=index,
             )
-            for position, hypergraph in enumerate(state["layer_hypergraphs"])
+            for position, (hypergraph, index) in enumerate(
+                zip(state["layer_hypergraphs"], state["indices"])
+            )
         ]
         return _DHGNNPlan(weights, state["operators"], slots)
 
@@ -515,6 +480,7 @@ class FrozenModel:
                         static_part=None,
                         weighted=config.use_edge_weighting,
                         temperature=config.weight_temperature,
+                        index=state["indices"][position],
                     )
                 )
         return _DHGCNPlan(
@@ -556,13 +522,24 @@ class FrozenModel:
         return np.argmax(self.forward(), axis=1)
 
     def prime(self) -> int:
-        """Prime this frozen model's own backend state (see :func:`prime_backend`).
+        """Query each k-NN slot's index once with the serving embeddings.
 
         Called by :meth:`Trainer.export_frozen` before :meth:`save`, so the
-        bundled incremental state matches the serving embeddings and a loaded
-        session can insert nodes without a cold rebuild.
+        bundled index states match the serving embeddings and a loaded
+        session answers its first prediction — and repairs its first
+        insertion or update — without a cold rebuild.  An index whose state
+        already matches answers from it with no distance work.  Returns the
+        number of slots queried.
         """
-        return prime_backend(self.plan, self.features, self.engine.backend)
+        slots = [slot for slot in self.plan.slots if slot.use_knn]
+        if not slots:
+            return 0
+        layer_inputs, _ = self.plan.run(self.features)
+        for slot in slots:
+            embedding = layer_inputs[slot.position]
+            k = min(slot.k_neighbors, max(embedding.shape[0] - 1, 1))
+            slot.index.query(embedding, k)
+        return len(slots)
 
     def embeddings(self) -> np.ndarray:
         """Input representation of the final layer (the node embedding).
@@ -585,12 +562,11 @@ class FrozenModel:
         """Write the compiled plan as an operator-store bundle (``.npz``).
 
         The bundle contains the feature matrix, layer weights, resolved
-        operators, per-slot topology parts and the neighbour backend's
-        incremental state — a loading process serves its first prediction
-        with zero k-NN distance computations and can keep inserting nodes
-        incrementally.  Only the dedicated DHGNN/DHGCN plans are bundleable
-        — a generic module plan raises
-        :class:`~repro.errors.ConfigurationError`.
+        operators and, per slot, the topology parts and the k-NN index state
+        — a loading process serves its first prediction with zero k-NN
+        distance computations and can keep inserting nodes incrementally.
+        Only the dedicated DHGNN/DHGCN plans are bundleable — a generic
+        module plan raises :class:`~repro.errors.ConfigurationError`.
         """
         store = OperatorStore()
         plan = self.plan
@@ -655,6 +631,9 @@ class FrozenModel:
                 if slot.cluster_members
                 else np.empty(0, dtype=np.int64)
             )
+            state = slot.index.export_state()
+            if state is not None:
+                group.update({f"index.{key}": np.asarray(value) for key, value in state.items()})
             store.put_group(f"slot{slot.position}", group)
             slot_meta.append(
                 {
@@ -668,19 +647,15 @@ class FrozenModel:
             )
         meta["slots"] = slot_meta
         store.meta = meta
-        store.capture_backend(self.engine.backend)
         return store.save(path)
 
     @classmethod
-    def load(
-        cls, path: str | Any, *, backend: NeighborBackend | None = None
-    ) -> "FrozenModel":
+    def load(cls, path: str | Any) -> "FrozenModel":
         """Reconstruct a frozen model from a bundle written by :meth:`save`.
 
-        ``backend`` overrides the bundled neighbour backend (it must share
-        the captured ``cache_key()`` for incremental state to restore).
         A file that is not a serving bundle raises
-        :class:`~repro.errors.ConfigurationError`.
+        :class:`~repro.errors.ConfigurationError`.  An older bundle's
+        shared-backend state (see the module docs) is ignored.
         """
         store = OperatorStore.load(path)
         meta = store.meta
@@ -701,6 +676,14 @@ class FrozenModel:
             static_part = (
                 unpack_hypergraph(group, prefix="static.") if entry["has_static"] else None
             )
+            index = IncrementalBackend()
+            state = {
+                key[len("index."):]: value
+                for key, value in group.items()
+                if key.startswith("index.")
+            }
+            if state:
+                index.import_state(state)
             slots.append(
                 TopologySlot(
                     int(entry["position"]),
@@ -711,6 +694,7 @@ class FrozenModel:
                     static_part=static_part,
                     weighted=bool(entry["weighted"]),
                     temperature=float(entry["temperature"]),
+                    index=index,
                 )
             )
 
@@ -771,14 +755,7 @@ class FrozenModel:
         else:
             raise ConfigurationError(f"unknown plan kind {meta['plan']!r}")
 
-        if backend is None:
-            backend = backend_from_cache_key(meta["backend"]["cache_key"])
-        if backend.cache_key()[0] == meta["backend"]["cache_key"][0]:
-            store.restore_backend(backend)
-        engine = TopologyRefreshEngine.for_model(backend=backend)
-        return cls(
-            plan, features, precision, engine=engine, meta=dict(meta.get("model_meta", {}))
-        )
+        return cls(plan, features, precision, meta=dict(meta.get("model_meta", {})))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

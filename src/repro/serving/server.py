@@ -583,6 +583,7 @@ class SessionPool:
                 "refreshes": self.writer.refreshes,
                 "forwards": self.writer.forwards,
                 "compactions": self.writer.compactions,
+                "neighbors": self.writer.stats()["neighbors"],
             },
         }
 
@@ -698,8 +699,8 @@ class ServingServer:
         """Register the server's instrument families and the scrape collector.
 
         Counters mirroring sources that keep their own cumulative totals
-        (operator cache, neighbour memo, the ``--profile`` profiler) are
-        refreshed by :meth:`_collect_metrics` right before every
+        (the ``--profile`` profiler) are refreshed by
+        :meth:`_collect_metrics` right before every
         ``/metrics`` / ``/stats`` render, same code path as
         ``/healthz`` — one source of truth per number.
         """
@@ -724,28 +725,9 @@ class ServingServer:
                 "repro_recovered_mutations", "WAL records replayed at startup",
             ),
             "connections": ("repro_connections", "Open HTTP connections"),
-            "cache_bytes": (
-                "repro_operator_cache_bytes", "Resident bytes of cached operators",
-            ),
         }
         self._gauges = {
             key: registry.gauge(name, help) for key, (name, help) in gauges.items()
-        }
-        mirrors = {
-            "hits": ("repro_operator_cache_hits_total", "Operator cache hits"),
-            "misses": ("repro_operator_cache_misses_total", "Operator cache misses"),
-            "evictions": (
-                "repro_operator_cache_evictions_total", "Operator cache evictions",
-            ),
-            "neighbor_hits": (
-                "repro_neighbor_memo_hits_total", "Neighbour-memo hits",
-            ),
-            "neighbor_misses": (
-                "repro_neighbor_memo_misses_total", "Neighbour-memo misses",
-            ),
-        }
-        self._cache_mirrors = {
-            key: registry.counter(name, help) for key, (name, help) in mirrors.items()
         }
         self._metric_op_seconds = registry.counter(
             "repro_op_seconds_total",
@@ -792,10 +774,6 @@ class ServingServer:
             gauges["wal_depth"].set(telemetry["wal_depth"])
         if telemetry["last_checkpoint_age_s"] is not None:
             gauges["checkpoint_age"].set(telemetry["last_checkpoint_age_s"])
-        engine = self.pool.writer.engine.stats()
-        for key, counter in self._cache_mirrors.items():
-            counter.set_total(engine[key])
-        gauges["cache_bytes"].set(engine["bytes"])
         if self.profiler is not None:
             for name, op_record in list(self.profiler.records.items()):
                 self._metric_op_seconds.set_total(op_record.forward_seconds, op=name)

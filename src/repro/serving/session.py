@@ -8,16 +8,18 @@ evolves — the **full node lifecycle**:
   subsets.  The session runs at most one full-batch forward per topology
   generation and freezes it into an immutable :class:`Generation` (labels
   computed once); every request is a slice of that generation;
-* **feature updates** — moved nodes flow into
-  :meth:`IncrementalBackend.update` as an explicit mover mask, so the next
-  refresh re-queries only what the movement can have invalidated;
-* **node insertion** — new nodes flow through
-  :meth:`IncrementalBackend.insert` (an O(m·n) grow-and-repair, not an O(n²)
-  rebuild), join their nearest cluster hyperedge by centroid, and the static
-  hypergraph is padded — a *scoped* topology refresh;
+* **feature updates** — moved nodes flow into the layer-0 k-NN index's
+  :meth:`~repro.hypergraph.neighbors.IncrementalBackend.update` as an
+  explicit mover mask, so the next refresh re-queries only what the movement
+  can have invalidated;
+* **node insertion** — new nodes flow through each layer's
+  :meth:`~repro.hypergraph.neighbors.IncrementalBackend.insert` (an O(m·n)
+  grow-and-repair, not an O(n²) rebuild), join their nearest cluster
+  hyperedge by centroid, and the static hypergraph is padded — a *scoped*
+  topology refresh;
 * **node deletion** — :meth:`delete_nodes` *tombstones* nodes lazily: at the
   next refresh they are excluded from every hyperedge (k-NN rows come from
-  :meth:`IncrementalBackend.delete`, an O(r·n) shrink-and-repair; cluster and
+  each index's ``delete``, an O(r·n) shrink-and-repair; cluster and
   static hyperedges are masked), so the propagation operators carry only
   isolated self-loop rows for them and they can no longer be queried — but
   the dense feature matrix keeps its size;
@@ -33,23 +35,16 @@ evolves — the **full node lifecycle**:
 
 The refresh pipeline is cascading: layer ``p``'s topology is rebuilt from the
 embedding the current pass produces at depth ``p`` (training instead reuses
-the previous epoch's embeddings).  With the incremental backend at
-``tolerance=0`` (float64) the refreshed neighbour lists are bit-identical to
-an exact full rebuild of the same pipeline — including after deletions and
-compactions — and a positive ``tolerance`` / ``churn_threshold`` bounds the
-staleness the session will serve, exactly as during training.
+the previous epoch's embeddings).  Each layer's refreshed neighbour lists
+are bit-identical (float64) to a cold rebuild of the same pipeline —
+including after deletions and compactions; ``tests/test_session_histories.py``
+checks this on generated operation histories.  Every refresh builds each
+layer's propagation operator afresh from its pooled hypergraph.
 
 Isolation contract: the session clones every piece of state it mutates — the
-feature matrix, the plan's operator/topology slots, the incremental
-neighbour-backend state and the refresh engine with its operator cache (a
-private :class:`~repro.hypergraph.refresh.OperatorCache` seeded from the
-frozen model's entries) — so several sessions serve from one ``FrozenModel``
-with independent caches, eviction budgets and node sets.  The one exception
-follows :func:`repro.hypergraph.neighbors.resolve_backend`'s explicit-sharing
-rule: a backend *instance* other than the built-in incremental one passes
-through shared, so a custom **stateful** backend must not be shared between
-sessions with diverging node sets (give each session its own
-``FrozenModel.load(..., backend=...)`` instance).
+feature matrix and the plan's operator/topology slots, each slot with its own
+k-NN index — so several sessions serve from one ``FrozenModel`` with
+independent node sets, and none of them touches the frozen model.
 """
 
 from __future__ import annotations
@@ -63,9 +58,10 @@ from repro.errors import ConfigurationError
 from repro.hypergraph.construction import hyperedges_from_neighbor_indices, union_hypergraphs
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.kmeans import assign_to_centroids
-from repro.hypergraph.laplacian import compactness_hyperedge_weights
-from repro.hypergraph.neighbors import IncrementalBackend
-from repro.hypergraph.refresh import OperatorCache, TopologyRefreshEngine
+from repro.hypergraph.laplacian import (
+    compactness_hyperedge_weights,
+    hypergraph_propagation_operator,
+)
 from repro.obs.tracing import span
 from repro.serving.faults import declare_fault_point, fault_point
 from repro.serving.frozen import FrozenModel, TopologySlot, _DHGCNPlan, _ModulePlan
@@ -195,39 +191,6 @@ class Generation:
         return result[0] if scalar else result
 
 
-def _private_backend_copy(backend: Any) -> Any:
-    """A session-private copy of ``backend`` when it is the built-in stateful one.
-
-    The incremental backend carries cached neighbour state that the session
-    mutates in place, so it is cloned together with its states; every other
-    instance passes through shared
-    (:func:`~repro.hypergraph.neighbors.resolve_backend`'s explicit-sharing
-    rule for custom backends).
-    """
-    if not isinstance(backend, IncrementalBackend):
-        return backend
-    clone = IncrementalBackend(
-        tolerance=backend.tolerance,
-        churn_threshold=backend.churn_threshold,
-        block_size=backend.block_size,
-        max_states=backend.max_states,
-    )
-    clone.import_states(backend.export_states())
-    return clone
-
-
-def _seeded_private_cache(source: OperatorCache) -> OperatorCache:
-    """A fresh cache with ``source``'s budgets, seeded with its entries."""
-    cache = OperatorCache(
-        source.max_entries,
-        max_bytes=source.max_bytes,
-        max_neighbor_entries=source.max_neighbor_entries,
-        enabled=source.enabled,
-    )
-    cache.seed_entries(source.export_entries())
-    return cache
-
-
 class InferenceSession:
     """Serves predictions from a frozen model with online node churn.
 
@@ -236,26 +199,21 @@ class InferenceSession:
     frozen:
         The compiled model (from :meth:`FrozenModel.compile` or
         :meth:`FrozenModel.load`).  The session clones every piece of state
-        it mutates — the feature matrix, the plan's operator/topology slots,
-        the neighbour-backend state (for the incremental backend) and the
-        refresh engine with a private operator cache seeded from the frozen
-        one — so the frozen model is never touched and several sessions can
-        serve from one ``FrozenModel`` independently.  Custom backend
-        instances pass through *shared* (``resolve_backend``'s explicit
-        sharing); a custom stateful backend therefore needs one instance per
-        session, since the session pushes deletions into it via
-        :meth:`NeighborBackend.delete`.
+        it mutates — the feature matrix and the plan's operator/topology
+        slots with their k-NN indices — so the frozen model is never touched
+        and several sessions can serve from one ``FrozenModel``
+        independently.
     cluster_assignment:
         What inserted nodes do about the k-means cluster hyperedges:
         ``"nearest"`` (default) joins the hyperedge with the nearest centroid
         in the current embedding — richer global topology, but growing a
         hyperedge changes its degree normalisation and therefore every
         member's next-layer embedding, so large clusters can push deeper
-        layers past the backend's churn threshold; ``"frozen"`` leaves the
+        layers past the index's churn threshold; ``"frozen"`` leaves the
         cluster hyperedges untouched (new nodes connect through their k-NN
         hyperedges only), which keeps the refresh cascade proportional to
-        the insertion size.  Both policies are deterministic and
-        backend-independent, so an incremental and an exact session agree
+        the insertion size.  Both policies are deterministic and independent
+        of the k-NN index's state, so a session and a cold rebuild agree
         under either.  :meth:`reassign_clusters` additionally re-assigns
         *existing* members (either policy) to bound membership staleness.
     """
@@ -270,33 +228,25 @@ class InferenceSession:
             )
         self.cluster_assignment = cluster_assignment
         self.frozen = frozen
+        # Private copy (slot indices included): this session's insertions,
+        # updates and deletions must not touch the frozen model's (or a
+        # sibling session's) state.
         self.plan = frozen.plan.clone()
-        # Private copy: this session's insertions/updates/deletions must not
-        # touch the frozen model's (or a sibling session's) state.
-        backend = _private_backend_copy(frozen.engine.backend)
-        # Private engine + operator cache: sessions with diverging node sets
-        # must not pollute one cache or evict each other's operators under a
-        # shared byte budget.  The cache is seeded from the frozen model's
-        # entries, so a warm start stays warm.
-        self.engine = TopologyRefreshEngine(
-            cache=_seeded_private_cache(frozen.engine.cache),
-            block_size=frozen.engine.block_size,
-            backend=backend,
-        )
-        self.backend = backend
         self._features = frozen.features.copy()
         n = self._features.shape[0]
         self._moved = np.zeros(n, dtype=bool)
         self._deleted = np.zeros(n, dtype=bool)
-        #: Full-space ids of the rows the backend's cached states cover
-        #: (pending deletions are pushed into the backend lazily, at refresh).
+        #: Full-space ids of the rows the slot indices' states cover (pending
+        #: deletions are pushed into the indices lazily, at refresh).
         self._state_ids = np.arange(n, dtype=np.int64)
         self._inserted = 0
         #: Tombstone generation: bumped on every deletion, reset by compact.
-        #: Keys the masked-hypergraph memo and the masked-operator supersede.
+        #: Keys the masked-hypergraph memo and the masked static operator.
         self._deleted_version = 0
         self._mask_memo: dict[Any, tuple[int, Hypergraph, Hypergraph]] = {}
-        self._masked_static: Hypergraph | None = None
+        #: Tombstone generation the masked unweighted static operator was
+        #: built for (``None`` while the static operator is unmasked).
+        self._static_mask_version: int | None = None
         self._stale_topology = False
         self._stale_outputs = True
         self._layer_inputs: list[np.ndarray] | None = None
@@ -339,7 +289,7 @@ class InferenceSession:
         return view
 
     def stats(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {
+        return {
             "n_nodes": self.n_nodes,
             "n_alive": self.n_alive,
             "tombstones": int(self._deleted.sum()),
@@ -347,12 +297,11 @@ class InferenceSession:
             "refreshes": self.refreshes,
             "compactions": self.compactions,
             "reassignments": self.reassignments,
-            "engine": self.engine.stats(),
+            # One entry per dynamic layer: its k-NN index's counters.
+            "neighbors": [
+                {"layer": slot.position, **slot.index.stats()} for slot in self.plan.slots
+            ],
         }
-        stats_hook = getattr(self.backend, "stats", None)
-        if callable(stats_hook):
-            payload["backend"] = stats_hook()
-        return payload
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -493,8 +442,8 @@ class InferenceSession:
         """Append new nodes; returns their ids.
 
         The nodes become visible to :meth:`predict` after the next (lazy)
-        scoped refresh: their k-NN hyperedges come from
-        :meth:`IncrementalBackend.insert`, they join the nearest cluster
+        scoped refresh: their k-NN hyperedges come from each layer index's
+        ``insert``, they join the nearest cluster
         hyperedge by centroid, and the static hypergraph is padded (new nodes
         are isolated there, receiving operator self-loops).  An empty matrix
         is a no-op.  Raises :class:`~repro.errors.ConfigurationError` for a
@@ -535,9 +484,9 @@ class InferenceSession:
         cluster and static hyperedges (so the refreshed propagation operators
         carry only isolated self-loop rows for them), rejected by
         :meth:`predict`/:meth:`update_features`, and skipped by every
-        whole-set query.  The incremental backend shrinks its cached state
-        through :meth:`IncrementalBackend.delete` (O(r·n), exactly
-        re-querying only rows whose neighbour list contained a deleted node).
+        whole-set query.  Each layer's k-NN index shrinks its state through
+        its ``delete`` (O(r·n), exactly re-querying only rows whose
+        neighbour list contained a deleted node).
         Call :meth:`compact` to reclaim the memory and re-number the ids.
 
         An empty ``node_ids`` is a no-op; duplicate, out-of-range and
@@ -572,16 +521,13 @@ class InferenceSession:
 
         Flushes any pending mutations through the normal (tombstone-aware)
         refresh, then rebuilds the dense feature matrix without the deleted
-        rows, shrinks the static and cluster hyperedges into the compact id
-        space, discards the superseded full-size operators from the session's
-        cache and cascades a scoped per-layer refresh over the surviving
-        nodes.  With a warm incremental backend the layer-0 stream re-queries
-        nothing; deeper-layer streams re-pay distance work only where the
+        rows, shrinks the operators, the static and the cluster hyperedges
+        into the compact id space and cascades a scoped per-layer refresh
+        over the surviving nodes.  The layer-0 index re-queries nothing;
+        deeper-layer indices re-pay distance work only where the
         shrunken-matrix forward reproduces their embeddings to rounding
-        rather than bitwise (dense BLAS blocks by matrix size) — at
-        ``tolerance=0`` every bit-level difference counts as a mover, so
-        deep streams can rebuild, while a small positive ``tolerance``
-        absorbs the rounding and keeps the whole cascade scoped.
+        rather than bitwise (dense BLAS blocks by matrix size) — every
+        bit-level difference counts as a mover, so deep layers can rebuild.
 
         Returns an ``int64`` array of length *old* ``n_nodes`` mapping every
         old id to its new id (``-1`` for deleted rows) — the identity when
@@ -607,15 +553,8 @@ class InferenceSession:
         if isinstance(plan, _DHGCNPlan):
             plan.dynamic_operators = [shrink(op) for op in plan.dynamic_operators]
             if plan.static_hypergraph is not None:
-                # Drop the full-size static entries (masked and unmasked):
-                # the cascade re-caches them compactly.
-                if self._masked_static is not None:
-                    self.engine.discard(self._masked_static)
-                self.engine.discard(plan.static_hypergraph)
                 plan.static_hypergraph = plan.static_hypergraph.subhypergraph(alive)
-            if plan.reweighted_static is not None:
-                self.engine.discard(plan.reweighted_static)
-                plan.reweighted_static = None
+            plan.reweighted_static = None
             plan.static_operator = shrink(plan.static_operator)
         else:
             plan.operators = [shrink(op) for op in plan.operators]
@@ -632,8 +571,8 @@ class InferenceSession:
         self._deleted = np.zeros(alive.size, dtype=bool)
         self._deleted_version = 0
         self._mask_memo.clear()
-        self._masked_static = None
-        # The tombstone refresh above already shrank the backend states, so
+        self._static_mask_version = None
+        # The tombstone refresh above already shrank the index states, so
         # the tracked rows are exactly the survivors — re-number them.
         self._state_ids = remap[self._state_ids]
         self._mark_stale()
@@ -648,7 +587,8 @@ class InferenceSession:
         cascade produces at that slot's depth: centroids come from the
         current (surviving) memberships, every alive node then joins the
         hyperedge of its nearest centroid — no Lloyd re-fit, deterministic,
-        backend-independent.  This bounds the frozen-membership staleness the
+        independent of the k-NN index's state.  This bounds the
+        frozen-membership staleness the
         compile-time export documents: without it, cluster hyperedges only
         ever *grow* (insertions) or *shrink* (deletions) and existing members
         never move even when the embedding drifts.
@@ -683,8 +623,8 @@ class InferenceSession:
         The node-lifecycle round-trip: a long-running session that has
         inserted, updated, deleted and compacted nodes is frozen back into a
         bundleable model — ``session.to_frozen().save(path)`` persists the
-        current features, refreshed operators, topology parts and incremental
-        neighbour state, and a session loaded from that bundle answers
+        current features, refreshed operators, topology parts and k-NN index
+        states, and a session loaded from that bundle answers
         bit-identically with zero k-NN distance computations.  Requires a
         compacted session (tombstones are session-internal laziness, not a
         bundleable state) and a dedicated DHGNN/DHGCN plan — violating
@@ -698,19 +638,10 @@ class InferenceSession:
                 "cannot be bundled"
             )
         self._ensure_fresh()
-        backend = _private_backend_copy(self.backend)
-        # The snapshot owns its cache: the session keeps churning (and
-        # evicting) its own, which must not age the frozen copy's entries.
-        engine = TopologyRefreshEngine(
-            cache=_seeded_private_cache(self.engine.cache),
-            block_size=self.engine.block_size,
-            backend=backend,
-        )
         return FrozenModel(
             self.plan.clone(),
             self._features.copy(),
             self.frozen.precision_name,
-            engine=engine,
             meta=dict(self.frozen.meta),
         )
 
@@ -738,7 +669,7 @@ class InferenceSession:
         plan = self.plan
         n = self.n_nodes
         alive = self.alive_ids
-        self._sync_backend_deletions()
+        self._sync_index_deletions()
         reassign = self._reassign_pending
         if self._reassign_every is not None:
             self._refreshes_since_reassign += 1
@@ -772,16 +703,13 @@ class InferenceSession:
         if reassign:
             self.reassignments += 1
 
-    def _sync_backend_deletions(self) -> None:
-        """Push pending tombstones into the backend's cached states.
-
-        Every backend gets the :meth:`NeighborBackend.delete` hook (stateless
-        backends no-op), so custom stateful backends shrink too.
-        """
+    def _sync_index_deletions(self) -> None:
+        """Push pending tombstones into every slot index's state."""
         keep = ~self._deleted[self._state_ids]
         if keep.all():
             return
-        self.backend.delete(keep)
+        for slot in self.plan.slots:
+            slot.index.delete(keep)
         self._state_ids = self._state_ids[keep]
 
     def _mask_hypergraph(self, hypergraph: Hypergraph) -> Hypergraph:
@@ -806,8 +734,8 @@ class InferenceSession:
 
         The tombstone set only changes through :meth:`delete_nodes` /
         :meth:`compact`, so refreshes between deletions (feature-update
-        traffic) reuse one masked structure — and its memoised fingerprint —
-        instead of re-filtering every hyperedge per refresh.
+        traffic) reuse one masked structure instead of re-filtering every
+        hyperedge per refresh.
         """
         entry = self._mask_memo.get(key)
         if (
@@ -822,21 +750,21 @@ class InferenceSession:
 
     def _neighbor_rows(self, slot: TopologySlot, embedding: np.ndarray, k: int) -> np.ndarray:
         """(n_alive, k) neighbour lists; ``embedding`` holds alive rows only."""
-        if isinstance(self.backend, IncrementalBackend):
-            if self._inserted:
-                # Grow the matching cached state by the appended rows —
-                # O(m·n) exact repair instead of a full rebuild (falls back
-                # automatically past the backend's churn threshold).
-                self.backend.insert(embedding)
-            if slot.position == 0:
-                moved = self._moved[~self._deleted]
-                if moved.any():
-                    try:
-                        return self.backend.update(moved, embedding)
-                    except ConfigurationError:
-                        # No prior state of this shape — cold start below.
-                        pass
-        return self.backend.query(embedding, k)
+        index = slot.index
+        if self._inserted:
+            # Grow the slot's state by the appended rows — O(m·n) exact
+            # repair instead of a full rebuild (falls back automatically past
+            # the index's churn threshold).
+            index.insert(embedding)
+        if slot.position == 0:
+            moved = self._moved[~self._deleted]
+            if moved.any():
+                try:
+                    return index.update(moved, embedding)
+                except ConfigurationError:
+                    # No prior state of this shape — cold start below.
+                    pass
+        return index.query(embedding, k)
 
     def _refresh_slot(
         self,
@@ -886,9 +814,8 @@ class InferenceSession:
                 pooled, embedding, temperature=slot.temperature
             )
             pooled = pooled.with_weights(weights)
-        operator = self.engine.refresh_operator(
-            slot.hypergraph, pooled, dtype=self.frozen.dtype
-        )
+        with span("operator"):
+            operator = hypergraph_propagation_operator(pooled, dtype=self.frozen.dtype)
         slot.hypergraph = pooled
         self.plan.set_operator(slot.position, operator)
 
@@ -910,8 +837,8 @@ class InferenceSession:
 
         Centroids are recomputed in the *current* embedding; existing members
         are never re-assigned here (that is :meth:`reassign_clusters`'s job).
-        Deterministic and backend-independent, so incremental and exact
-        sessions agree.
+        Deterministic and independent of the k-NN index's state, so a
+        session and a cold rebuild agree.
         """
         n = embedding.shape[0]
         new_ids = np.arange(n - self._inserted, n, dtype=np.int64)
@@ -962,23 +889,20 @@ class InferenceSession:
             else plan.static_hypergraph
         )
         if not plan.use_edge_weighting or static.n_hyperedges == 0:
+            # The unweighted static operator only changes with the node count
+            # and the tombstone set: rebuild it when either moved since it
+            # was last built, and never between deletions.
+            version = self._deleted_version if masked else None
             if (
                 plan.static_operator is None
                 or plan.static_operator.shape[0] != n
-                or masked
+                or version != self._static_mask_version
             ):
-                # Supersede the previous tombstone generation's masked
-                # operator: it can never be requested again (the tombstone
-                # set only grows until compaction) and would otherwise
-                # accumulate in the session's cache.
-                if self._masked_static is not None and (
-                    self._masked_static.fingerprint() != static.fingerprint()
-                ):
-                    self.engine.discard(self._masked_static)
-                plan.static_operator = self.engine.propagation_operator(
-                    static, dtype=self.frozen.dtype
-                )
-                self._masked_static = static if masked else None
+                with span("operator"):
+                    plan.static_operator = hypergraph_propagation_operator(
+                        static, dtype=self.frozen.dtype
+                    )
+                self._static_mask_version = version
             return
         # The reweighting reference is always recomputed with a baseline
         # forward over the pre-insertion rows (current features, current
@@ -997,8 +921,8 @@ class InferenceSession:
         weights = compactness_hyperedge_weights(
             static, reference, temperature=plan.weight_temperature
         )
-        reweighted = static.with_weights(weights)
-        plan.static_operator = self.engine.refresh_operator(
-            plan.reweighted_static, reweighted, dtype=self.frozen.dtype
-        )
-        plan.reweighted_static = reweighted
+        plan.reweighted_static = static.with_weights(weights)
+        with span("operator"):
+            plan.static_operator = hypergraph_propagation_operator(
+                plan.reweighted_static, dtype=self.frozen.dtype
+            )

@@ -3,27 +3,17 @@
 :class:`OperatorStore` is a single-file (``.npz``) container for everything a
 serving process needs to start *warm*:
 
-* **keyed sparse operators** — entries of a
-  :class:`repro.hypergraph.refresh.OperatorCache` (or any other
-  tuple-of-builtins-keyed CSR matrices, e.g. a frozen model's resolved
-  per-layer operators).  Keys round-trip through ``repr`` /
-  ``ast.literal_eval`` and stay valid across processes because
-  :meth:`Hypergraph.fingerprint` uses process-stable hashes;
+* **keyed sparse operators** — tuple-of-builtins-keyed CSR matrices, e.g. a
+  frozen model's resolved per-layer operators.  Keys round-trip through
+  ``repr`` / ``ast.literal_eval``;
 * **named array groups** — dense state (model weights, feature matrices,
-  serialised hypergraphs, incremental-backend states);
+  serialised hypergraphs, k-NN index states);
 * **JSON metadata** — plan configuration, precision, provenance.
 
-Two workflows build on it:
-
-* repeated sweeps: ``OperatorStore.from_cache(engine.cache).save(path)`` at
-  the end of a run, ``store.install_into(engine.cache)`` at the start of the
-  next process — structurally identical topologies then hit instead of
-  rebuilding their sparse pipelines;
-* serving: :meth:`repro.serving.FrozenModel.save` /
-  :meth:`~repro.serving.FrozenModel.load` bundle the compiled plan through a
-  store, so a server restart performs **zero** k-NN distance computations
-  before its first prediction (asserted via
-  :data:`repro.hypergraph.knn.DISTANCE_COUNTERS`).
+:meth:`repro.serving.FrozenModel.save` / :meth:`~repro.serving.FrozenModel.load`
+bundle a compiled plan through a store, so a server restart performs
+**zero** k-NN distance computations before its first prediction (asserted
+via :data:`repro.hypergraph.knn.DISTANCE_COUNTERS`).
 """
 
 from __future__ import annotations
@@ -42,8 +32,6 @@ from repro.precision import resolve_dtype
 
 from repro.errors import ConfigurationError
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.hypergraph.neighbors import IncrementalBackend, NeighborBackend
-from repro.hypergraph.refresh import OperatorCache
 from repro.obs.metrics import get_registry
 from repro.serving.faults import declare_fault_point, fault_point
 from repro.utils.io import pack_csr, unpack_csr
@@ -98,8 +86,7 @@ class OperatorStore:
     """In-memory collection of keyed operators, array groups and metadata.
 
     The store itself is format-agnostic state plus :meth:`save` /
-    :meth:`load`; the cache and backend bridges are thin adapters so the
-    persistence layer stays independent of what is being persisted.
+    :meth:`load`, independent of what is being persisted.
     """
 
     def __init__(self) -> None:
@@ -242,87 +229,6 @@ class OperatorStore:
                     if file.startswith(prefix)
                 }
         return store
-
-    # ------------------------------------------------------------------ #
-    # Operator-cache bridge
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_cache(cls, cache: OperatorCache) -> "OperatorStore":
-        """Snapshot every entry of an :class:`OperatorCache`."""
-        store = cls()
-        for key, operator in cache.export_entries().items():
-            store.put_operator(key, operator)
-        store.meta["source"] = "operator-cache"
-        return store
-
-    def install_into(self, cache: OperatorCache) -> int:
-        """Seed an :class:`OperatorCache` with every stored operator.
-
-        Returns the number of entries installed; the cache's LRU / byte
-        budgets apply as if the operators had just been built.
-        """
-        return cache.seed_entries(self._operators)
-
-    # ------------------------------------------------------------------ #
-    # Neighbour-backend bridge
-    # ------------------------------------------------------------------ #
-    def capture_backend(self, backend: NeighborBackend) -> None:
-        """Record a backend's identity and (if stateful) cached states.
-
-        The incremental backend's states flatten to one array group each, so
-        a reload serves warm — zero distance computations.
-        """
-        description: dict[str, Any] = {"cache_key": list(backend.cache_key())}
-        if isinstance(backend, IncrementalBackend):
-            signatures = []
-            for index, state in enumerate(backend.export_states()):
-                group = f"backend_state{index}"
-                self.put_group(
-                    group,
-                    {
-                        "features": state["features"],
-                        "indices": state["indices"],
-                        "distances": state["distances"],
-                    },
-                )
-                signatures.append(list(state["signature"]))
-            description["state_signatures"] = signatures
-        self.meta["backend"] = description
-
-    def restore_backend(self, backend: NeighborBackend) -> int:
-        """Restore states captured by :meth:`capture_backend`.
-
-        The receiving backend must be of the same *kind* (``cache_key()``
-        name) as the captured one; its tolerance / churn configuration may
-        differ — the cached states are exact snapshots, valid under any
-        staleness policy.  Returns the number of states restored (0 for
-        stateless backends).  A store without a captured backend, or a
-        backend-kind mismatch, raises
-        :class:`~repro.errors.ConfigurationError`.
-        """
-        description = self.meta.get("backend")
-        if description is None:
-            raise ConfigurationError("this store holds no captured backend")
-        if backend.cache_key()[0] != description["cache_key"][0]:
-            raise ConfigurationError(
-                f"backend mismatch: store captured {description['cache_key'][0]!r}, "
-                f"got {backend.cache_key()[0]!r}"
-            )
-        if isinstance(backend, IncrementalBackend):
-            states = []
-            for index, signature in enumerate(description.get("state_signatures", [])):
-                group = self.get_group(f"backend_state{index}")
-                states.append(
-                    {
-                        "signature": tuple(signature),
-                        "features": group["features"],
-                        "indices": group["indices"],
-                        "distances": group["distances"],
-                    }
-                )
-            backend.import_states(states)
-            return len(states)
-        return 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

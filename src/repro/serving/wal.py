@@ -19,9 +19,8 @@ between checkpoints silently loses every mutation since the last one.  The
    records into a sequence-number dedup check, never twice into the state.
 
 On-disk format: a fixed header (:data:`WAL_HEADER`) followed by records of
-``uint32-le payload length + 16-byte blake2b digest + JSON payload`` (the
-same blake2b family :meth:`Hypergraph.fingerprint` and the operator store
-use).  Two corruption classes are distinguished deliberately:
+``uint32-le payload length + 16-byte blake2b digest + JSON payload``.  Two
+corruption classes are distinguished deliberately:
 
 * a **torn tail** — the final record is incomplete because the process died
   mid-write (or mid-OS-flush).  This is an expected crash artefact: replay

@@ -6,10 +6,12 @@ from dataclasses import asdict, dataclass
 from typing import Any
 
 from repro.errors import ConfigurationError
-from repro.hypergraph.neighbors import NeighborBackend, validate_neighbor_backend_spec
 from repro.precision import SUPPORTED_PRECISIONS
 
 _OPTIMIZERS = ("adam", "adamw", "sgd")
+#: Values :attr:`TrainConfig.neighbor_backend` still accepts; all mean the
+#: same thing.
+_NEIGHBOR_BACKENDS = (None, "exact", "incremental")
 
 
 @dataclass(frozen=True)
@@ -41,15 +43,10 @@ class TrainConfig:
         (fast path — parameters, activations, gradients, optimizer state and
         cached operators all stored at half the bandwidth).
     neighbor_backend:
-        Neighbour-search backend for the model's dynamic topology
-        (:mod:`repro.hypergraph.neighbors`).  ``None`` (default) leaves the
-        model's own configuration untouched; a registered name (``"exact"``,
-        ``"incremental"``, ``"lsh"``) or a configured
-        :class:`~repro.hypergraph.neighbors.NeighborBackend` instance is
-        installed on the model's refresh engine when the :class:`Trainer` is
-        constructed — this reconfigures the *model*, and stays in effect for
-        later runs of the same model instance until changed again.  Models
-        without a refresh engine (MLP, GCN, …) ignore the setting.
+        Selects nothing: every dynamic layer owns one exact incremental k-NN
+        index.  ``None``, ``"exact"`` and ``"incremental"`` are accepted for
+        existing callers and mean the same thing; anything else raises
+        :class:`~repro.errors.ConfigurationError`.
     verbose:
         Log progress through the library logger.
     """
@@ -63,7 +60,7 @@ class TrainConfig:
     eval_every: int = 1
     restore_best: bool = True
     precision: str = "float64"
-    neighbor_backend: "str | NeighborBackend | None" = None
+    neighbor_backend: str | None = None
     verbose: bool = False
 
     def __post_init__(self) -> None:
@@ -85,7 +82,11 @@ class TrainConfig:
             raise ConfigurationError(
                 f"precision must be one of {SUPPORTED_PRECISIONS}, got {self.precision!r}"
             )
-        validate_neighbor_backend_spec(self.neighbor_backend)
+        if self.neighbor_backend not in _NEIGHBOR_BACKENDS:
+            raise ConfigurationError(
+                f"neighbor_backend must be one of {_NEIGHBOR_BACKENDS}, "
+                f"got {self.neighbor_backend!r}"
+            )
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

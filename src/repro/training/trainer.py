@@ -127,13 +127,6 @@ class Trainer:
         self.dataset = dataset
         self.config = config or TrainConfig()
         self.profile = bool(profile)
-        # Backend selection must land before setup() so the very first
-        # topology build already uses it; models without a refresh engine
-        # (MLP, GCN, ...) have no dynamic topology and ignore the setting.
-        if self.config.neighbor_backend is not None:
-            engine = getattr(self.model, "refresh_engine", None)
-            if engine is not None:
-                engine.set_backend(self.config.neighbor_backend)
         # The whole run — parameter casts, operator precomputation, the
         # feature tensor and later every epoch — executes under the
         # configured precision policy.
@@ -244,11 +237,6 @@ class Trainer:
             # Per-op totals against the summed epoch wall-clock: the coverage
             # ratio is the profiler's own accounting check.
             extras["profile"] = profiler.summary(wall_seconds=epoch_timer.total)
-        # Dynamic-topology models report their refresh-engine cache counters
-        # so experiment sweeps (and bench_refresh_engine) can audit reuse.
-        stats_hook = getattr(self.model, "topology_cache_stats", None)
-        if callable(stats_hook):
-            extras["operator_cache"] = stats_hook()
         builds_hook = getattr(self.model, "dynamic_hypergraphs_built", None)
         if callable(builds_hook):
             extras["dynamic_hypergraphs_built"] = builds_hook()
@@ -296,9 +284,9 @@ class Trainer:
 
         Returns a :class:`repro.serving.FrozenModel` whose logits are
         bit-identical to this trainer's evaluation forward.  With ``path``
-        given, the incremental neighbour state is first primed against the
+        given, each topology slot's k-NN index is first primed against the
         evaluation embeddings and the whole plan — weights, resolved
-        operators, topology slots, backend state — is written as one ``.npz``
+        operators, topology slots, index states — is written as one ``.npz``
         bundle, so a serving process starts warm (zero k-NN distance
         computations before its first prediction) and keeps inserting nodes
         incrementally.  See :mod:`repro.serving`.

@@ -65,7 +65,11 @@ class TestDynamicBuilder:
         hypergraph = builder.build_hypergraph(embedding)
         assert hypergraph.n_nodes == 30
         assert hypergraph.n_hyperedges == 30 + 2
+        # build_hypergraph is a probe; only a refresh (build_operator) counts.
+        assert builder.build_count == 0
+        builder.build_operator(embedding, slot=0)
         assert builder.build_count == 1
+        assert builder._last_hypergraphs[0].hyperedges == hypergraph.hyperedges
 
     def test_knn_only_and_cluster_only(self, embedding):
         knn_only = DynamicHypergraphBuilder(k_neighbors=3, n_clusters=2, use_cluster=False, seed=0)

@@ -42,7 +42,6 @@ from repro import (
     InferenceSession,
     TrainConfig,
     Trainer,
-    reset_default_engine,
 )
 from repro.cli import build_parser, main as cli_main
 from repro.errors import ConfigurationError
@@ -67,7 +66,6 @@ from repro.serving.server import (
 @pytest.fixture(scope="module")
 def bundle_path(tiny_citation_dataset, tmp_path_factory):
     """One trained DHGNN bundle shared by every test in this module."""
-    reset_default_engine()
     dataset = tiny_citation_dataset
     model = DHGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
     trainer = Trainer(
@@ -511,8 +509,6 @@ class TestServerTelemetry:
             "repro_checkpoint_age_seconds",
             "repro_uptime_seconds",
             "repro_generation",
-            "repro_operator_cache_hits_total",
-            "repro_neighbor_memo_hits_total",
             "repro_publish_seconds",
         ):
             assert family in families, f"missing family {family}"

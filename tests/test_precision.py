@@ -2,7 +2,7 @@
 
 Covers the policy API itself, dtype propagation through every op family
 (forward results *and* backward gradients), float32 gradient checks with
-widened tolerances, the dtype-keyed operator cache, the spmm transpose cache,
+widened tolerances, policy-dtyped operators, the spmm transpose cache,
 the fused dropout mask, and float64-vs-float32 end-to-end training parity.
 """
 
@@ -19,7 +19,6 @@ from repro import (
     Trainer,
     get_precision,
     precision,
-    reset_default_engine,
     set_precision,
 )
 from repro.autograd import (
@@ -36,8 +35,7 @@ from repro.autograd import (
 from repro.autograd import ops_activation, ops_basic, ops_reduce, ops_shape
 from repro.autograd.ops_sparse import _TRANSPOSE_CACHE, _transposed
 from repro.errors import ConfigurationError
-from repro.hypergraph import OperatorCache
-from repro.hypergraph.neighbors import available_neighbor_backends, resolve_backend
+from repro.hypergraph import IncrementalBackend, knn_indices
 from repro.hypergraph.construction import knn_hyperedges
 from repro.hypergraph.laplacian import hypergraph_propagation_operator
 from repro.nn import Dropout, Linear
@@ -336,7 +334,7 @@ class TestFloat32GradChecks:
 
 
 # --------------------------------------------------------------------------- #
-# Operator pipeline: dtype-keyed cache + policy-dtyped operators
+# Operator pipeline: policy-dtyped operators
 # --------------------------------------------------------------------------- #
 class TestOperatorDtypes:
     def _hypergraph(self):
@@ -356,50 +354,28 @@ class TestOperatorDtypes:
         with precision("float32"):
             assert hypergraph_propagation_operator(hypergraph).dtype == np.float32
 
-    def test_cache_keys_include_dtype(self):
-        hypergraph = self._hypergraph()
-        cache = OperatorCache()
-        op64 = cache.propagation_operator(hypergraph)
-        op32 = cache.propagation_operator(hypergraph, dtype=np.float32)
-        assert op64.dtype == np.float64 and op32.dtype == np.float32
-        assert len(cache) == 2
-        assert cache.stats()["hits"] == 0
-        # Same-dtype re-request hits; the other dtype's entry is untouched.
-        assert cache.propagation_operator(hypergraph, dtype=np.float32) is op32
-        assert cache.propagation_operator(hypergraph) is op64
-        assert cache.stats()["hits"] == 2
-
     def test_builder_slots_track_layers_independently(self):
         # A multi-layer model shares one builder: each layer's refresh must
-        # supersede *its own* previous topology, so a layer that rebuilds an
-        # identical topology keeps hitting the cache even though its sibling
-        # layer built a different hypergraph in between.
+        # repair from *its own* previous embedding, so a layer whose
+        # embedding did not move answers from its index with no rebuild even
+        # though its sibling layer queried a different embedding in between.
         from repro.core.builder import DynamicHypergraphBuilder
-        from repro.hypergraph.refresh import TopologyRefreshEngine
 
-        engine = TopologyRefreshEngine()
         builder = DynamicHypergraphBuilder(
-            k_neighbors=2, use_cluster=False, use_edge_weighting=False,
-            seed=0, engine=engine,
+            k_neighbors=2, use_cluster=False, use_edge_weighting=False, seed=0,
         )
         rng = np.random.default_rng(13)
         layer0 = rng.normal(size=(20, 4))
         layer1 = rng.normal(size=(20, 4)) + 10.0
+        operators = []
         for _ in range(3):  # three refreshes of a 2-layer model
-            builder.build_operator(layer0, slot=0)
+            operators.append(builder.build_operator(layer0, slot=0).toarray())
             builder.build_operator(layer1, slot=1)
-        stats = engine.stats()
-        assert stats["misses"] == 2  # one cold build per layer
-        assert stats["hits"] == 4  # both layers hit on refreshes 2 and 3
-
-    def test_discard_drops_every_dtype(self):
-        hypergraph = self._hypergraph()
-        cache = OperatorCache()
-        cache.propagation_operator(hypergraph)
-        cache.propagation_operator(hypergraph, dtype=np.float32)
-        cache.laplacian(hypergraph)
-        assert cache.discard(hypergraph) == 3
-        assert len(cache) == 0
+        for slot in (0, 1):
+            stats = builder._indices[slot].stats()
+            assert stats["full_rebuilds"] == 1  # one cold build per layer
+            assert stats["rows_requeried"] == 20
+        assert all(np.array_equal(operators[0], op) for op in operators)
 
 
 # --------------------------------------------------------------------------- #
@@ -530,11 +506,9 @@ class TestTrainerPrecision:
         assert TrainConfig(precision="float32").precision == "float32"
 
     def test_float32_training_parity(self, tiny_citation_dataset):
-        """float32 training stays close to float64 and reuses the cache the
-        same way (same hit/miss pattern, only the dtype key differs)."""
+        """float32 training stays close to float64."""
         results = {}
         for policy in ("float64", "float32"):
-            reset_default_engine()
             model = HGNN(
                 tiny_citation_dataset.n_features, tiny_citation_dataset.n_classes, seed=0
             )
@@ -546,19 +520,20 @@ class TestTrainerPrecision:
         delta = abs(results["float64"].test_accuracy - results["float32"].test_accuracy)
         assert delta <= 0.15, f"precision gap too large: {delta:.3f}"
 
-    def test_dhgcn_float32_cache_pattern_unaffected(self, tiny_citation_dataset):
+    def test_dhgcn_float32_refresh_pattern_unaffected(self, tiny_citation_dataset):
         stats = {}
         for policy in ("float64", "float32"):
-            reset_default_engine()
             model = DHGCN(
                 tiny_citation_dataset.n_features, tiny_citation_dataset.n_classes, seed=0
             )
             config = TrainConfig(epochs=6, patience=None, precision=policy)
             result = Trainer(model, tiny_citation_dataset, config).train()
-            stats[policy] = result.extras["operator_cache"]
+            stats[policy] = (
+                result.extras["dynamic_hypergraphs_built"],
+                [index.stats()["full_rebuilds"] for index in model.builder._indices.values()],
+            )
             assert 0.0 <= result.test_accuracy <= 1.0
-        assert stats["float64"]["misses"] == stats["float32"]["misses"]
-        assert stats["float64"]["hits"] == stats["float32"]["hits"]
+        assert stats["float64"] == stats["float32"]
 
     def test_ambient_policy_untouched_by_float32_run(self, tiny_citation_dataset):
         model = HGNN(
@@ -625,28 +600,33 @@ class TestNeighborBackendDtypeStability:
         monkeypatch.setattr(knn_mod, "distance_block", spy)
         return recorded
 
-    @pytest.mark.parametrize("name", available_neighbor_backends())
+    @pytest.mark.parametrize("name", ["exact", "incremental"])
     def test_float32_query_keeps_slabs_float32(self, name, monkeypatch):
         recorded = self._spy_distance_block(monkeypatch)
         rng = np.random.default_rng(0)
         with precision("float32"):
             features = rng.normal(size=(80, 8)).astype(np.float32)
-            backend = resolve_backend(name)
-            result = backend.query(features, 5)
-            if name == "incremental":
+            if name == "exact":
+                result = knn_indices(features, 5)
+            else:
+                index = IncrementalBackend()
+                index.query(features, 5)
                 # the partial path allocates its own slabs too
                 moved = features.copy()
                 moved[3] += np.float32(0.01)
-                result = backend.query(moved, 5)
+                result = index.query(moved, 5)
         assert result.shape == (80, 5)
-        assert recorded, "backend never went through the shared distance kernel"
+        assert recorded, "the query never went through the shared distance kernel"
         assert all(dtype == np.float32 for dtype in recorded), recorded
 
-    @pytest.mark.parametrize("name", available_neighbor_backends())
+    @pytest.mark.parametrize("name", ["exact", "incremental"])
     def test_float64_default_slabs_stay_float64(self, name, monkeypatch):
         recorded = self._spy_distance_block(monkeypatch)
         features = np.random.default_rng(1).normal(size=(40, 6))
-        resolve_backend(name).query(features, 4)
+        if name == "exact":
+            knn_indices(features, 4)
+        else:
+            IncrementalBackend().query(features, 4)
         assert recorded and all(dtype == np.float64 for dtype in recorded)
 
     def test_float32_euclidean_kernel_matches_cdist(self):
@@ -664,8 +644,6 @@ class TestNeighborBackendDtypeStability:
         # The float32 kernel may flip genuine near-ties (documented), but on
         # clustered data the selected neighbour sets must agree almost
         # everywhere with the float64 reference.
-        from repro.hypergraph import knn_indices
-
         rng = np.random.default_rng(3)
         centers = rng.normal(scale=10.0, size=(5, 8))
         features = np.vstack(
@@ -680,22 +658,20 @@ class TestNeighborBackendDtypeStability:
 
     def test_float32_model_refresh_path_keeps_slabs_float32(self, monkeypatch):
         """The *model* refresh path (knn_hyperedges / builder), not just a
-        direct backend.query, must keep float32 distance slabs — a hard
+        direct index query, must keep float32 distance slabs — a hard
         float64 cast before the query would silently restore full-bandwidth
-        slabs while the backend-level test stays green."""
+        slabs while the index-level test stays green."""
         from repro.core import DynamicHypergraphBuilder
         from repro.hypergraph.construction import knn_hyperedges
-        from repro.hypergraph.refresh import TopologyRefreshEngine
 
         recorded = self._spy_distance_block(monkeypatch)
         rng = np.random.default_rng(4)
         embedding = rng.normal(size=(60, 8)).astype(np.float32)
         with precision("float32"):
             knn_hyperedges(embedding, 4)
-            builder = DynamicHypergraphBuilder(
-                k_neighbors=3, n_clusters=2, engine=TopologyRefreshEngine()
-            )
+            builder = DynamicHypergraphBuilder(k_neighbors=3, n_clusters=2)
             builder.build_hypergraph(embedding)
+            builder.build_operator(embedding, slot=0)
         assert recorded and all(dtype == np.float32 for dtype in recorded), recorded
 
     def test_float32_kernel_stable_for_off_origin_data(self):
@@ -703,8 +679,6 @@ class TestNeighborBackendDtypeStability:
         # for clusters far from the origin (e.g. post-ReLU embeddings) unless
         # the inputs are mean-centred first — without centring this data gave
         # ~13% neighbour overlap with the float64 reference.
-        from repro.hypergraph import knn_indices
-
         rng = np.random.default_rng(5)
         features = 100.0 + rng.normal(scale=1e-2, size=(50, 8))
         fast = knn_indices(features.astype(np.float32), 5)

@@ -1,15 +1,12 @@
-"""Equivalence and regression tests for the topology-refresh engine.
+"""Equivalence tests for the topology-refresh path's k-NN kernel.
 
-Three guarantees are pinned here so the refresh-path speedups can never
+Two guarantees are pinned here so the refresh-path speedups can never
 silently change the reproduction's numbers:
 
 1. the chunked k-NN (:func:`repro.hypergraph.knn.knn_indices`) selects exactly
    the same neighbours as the brute-force full-matrix path, for every block
    size, including ``block_size > n`` and tie-heavy inputs;
-2. a cached propagation operator / Laplacian is ``allclose`` to a fresh
-   rebuild, before and after weight and topology mutations;
-3. training DHGCN / DHGNN with the operator cache enabled produces *identical*
-   histories to training with it disabled, seed for seed.
+2. training DHGCN gives *identical* histories for every k-NN block size.
 """
 
 from __future__ import annotations
@@ -20,19 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DHGCN, DHGCNConfig
-from repro.hypergraph import (
-    Hypergraph,
-    OperatorCache,
-    TopologyRefreshEngine,
-    get_default_engine,
-    hypergraph_laplacian,
-    hypergraph_propagation_operator,
-    knn_indices,
-    knn_indices_bruteforce,
-    reset_default_engine,
-)
+from repro.hypergraph import knn_indices, knn_indices_bruteforce
 from repro.hypergraph.construction import knn_hyperedges
-from repro.models import DHGNN
 from repro.training import TrainConfig, Trainer
 
 
@@ -118,126 +104,7 @@ class TestChunkedKnnEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# 2. Cached operators ≡ fresh rebuilds
-# --------------------------------------------------------------------------- #
-def _random_hypergraph(seed: int, n: int = 12) -> Hypergraph:
-    rng = np.random.default_rng(seed)
-    features = rng.normal(size=(n, 3))
-    hypergraph = knn_hyperedges(features, 3)
-    return hypergraph.with_weights(rng.uniform(0.5, 2.0, size=hypergraph.n_hyperedges))
-
-
-class TestOperatorCacheEquivalence:
-    @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_cached_equals_fresh_through_mutations(self, seed):
-        cache = OperatorCache()
-        hypergraph = _random_hypergraph(seed)
-
-        for variant in (
-            hypergraph,
-            # weight mutation
-            hypergraph.with_weights(np.full(hypergraph.n_hyperedges, 1.7)),
-            # topology mutations
-            hypergraph.add_hyperedges([[0, 1, 2], [3, 4]]),
-            hypergraph.remove_hyperedges([0, 1]),
-        ):
-            cached = cache.propagation_operator(variant)
-            fresh = hypergraph_propagation_operator(variant)
-            assert np.allclose(cached.toarray(), fresh.toarray())
-            assert np.allclose(
-                cache.laplacian(variant).toarray(),
-                hypergraph_laplacian(variant).toarray(),
-            )
-
-    def test_hit_returns_same_object_and_counts(self):
-        cache = OperatorCache()
-        hypergraph = _random_hypergraph(7)
-        first = cache.propagation_operator(hypergraph)
-        second = cache.propagation_operator(hypergraph)
-        assert second is first
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["misses"] == 1
-
-        # An equal-but-distinct Hypergraph object hits through the fingerprint.
-        clone = Hypergraph(hypergraph.n_nodes, hypergraph.hyperedges, hypergraph.weights)
-        assert cache.propagation_operator(clone) is first
-
-    def test_weight_change_is_a_different_key(self):
-        cache = OperatorCache()
-        hypergraph = _random_hypergraph(8)
-        base = cache.propagation_operator(hypergraph)
-        reweighted = cache.propagation_operator(
-            hypergraph.with_weights(np.full(hypergraph.n_hyperedges, 2.0))
-        )
-        assert reweighted is not base
-        assert cache.stats()["misses"] == 2
-
-    def test_self_loop_flag_is_part_of_the_key(self):
-        cache = OperatorCache()
-        hypergraph = Hypergraph(5, [[0, 1], [1, 2]])  # nodes 3, 4 isolated
-        with_loops = cache.propagation_operator(hypergraph, self_loop_isolated=True)
-        without = cache.propagation_operator(hypergraph, self_loop_isolated=False)
-        assert with_loops is not without
-        assert with_loops.toarray()[3, 3] == 1.0
-        assert without.toarray()[3, 3] == 0.0
-
-    def test_discard_and_invalidate(self):
-        cache = OperatorCache()
-        a, b = _random_hypergraph(1), _random_hypergraph(2)
-        cache.propagation_operator(a)
-        cache.laplacian(a)
-        cache.propagation_operator(b)
-        assert len(cache) == 3
-        assert cache.discard(a) == 2
-        assert len(cache) == 1
-        cache.invalidate()
-        assert len(cache) == 0
-        # Counters survive invalidation.
-        assert cache.stats()["misses"] == 3
-
-    def test_lru_eviction(self):
-        cache = OperatorCache(max_entries=2)
-        graphs = [_random_hypergraph(seed) for seed in range(3)]
-        for hypergraph in graphs:
-            cache.propagation_operator(hypergraph)
-        assert len(cache) == 2
-        assert cache.stats()["evictions"] == 1
-        # The oldest entry was evicted; the newest two still hit.
-        cache.propagation_operator(graphs[2])
-        cache.propagation_operator(graphs[1])
-        assert cache.stats()["hits"] == 2
-
-    def test_disabled_cache_always_rebuilds(self):
-        cache = OperatorCache(enabled=False)
-        hypergraph = _random_hypergraph(3)
-        first = cache.propagation_operator(hypergraph)
-        second = cache.propagation_operator(hypergraph)
-        assert first is not second
-        assert np.allclose(first.toarray(), second.toarray())
-        assert cache.stats()["hits"] == 0
-        assert len(cache) == 0
-
-    def test_fingerprint_semantics(self):
-        hypergraph = _random_hypergraph(4)
-        clone = Hypergraph(hypergraph.n_nodes, hypergraph.hyperedges, hypergraph.weights)
-        assert hypergraph.fingerprint() == clone.fingerprint()
-        assert hypergraph.fingerprint() != hypergraph.with_weights(
-            np.full(hypergraph.n_hyperedges, 3.0)
-        ).fingerprint()
-        assert hypergraph.fingerprint() != hypergraph.add_hyperedges([[0, 1]]).fingerprint()
-
-    def test_default_engine_is_shared_and_resettable(self):
-        engine = get_default_engine()
-        assert get_default_engine() is engine
-        reset_default_engine()
-        fresh = get_default_engine()
-        assert fresh is not engine
-        assert fresh is get_default_engine()
-
-
-# --------------------------------------------------------------------------- #
-# 3. Regression: the cache can never change model outputs
+# 2. Regression: the k-NN block size can never change model outputs
 # --------------------------------------------------------------------------- #
 def _train_history(model, dataset, epochs: int = 6):
     config = TrainConfig(epochs=epochs, lr=0.01, eval_every=1, patience=None)
@@ -246,37 +113,6 @@ def _train_history(model, dataset, epochs: int = 6):
 
 
 class TestCacheRegression:
-    def test_dhgcn_identical_with_and_without_cache(self, tiny_object_dataset):
-        reset_default_engine()
-        histories = {}
-        for use_cache in (True, False):
-            config = DHGCNConfig(refresh_period=2, use_operator_cache=use_cache)
-            model = DHGCN(
-                tiny_object_dataset.n_features,
-                tiny_object_dataset.n_classes,
-                config,
-                seed=0,
-            )
-            histories[use_cache] = _train_history(model, tiny_object_dataset)
-        for key in ("train_loss", "val_accuracy", "test_accuracy"):
-            assert histories[True].history[key] == histories[False].history[key], key
-        assert histories[True].test_accuracy == histories[False].test_accuracy
-
-    def test_dhgnn_identical_with_and_without_cache(self, tiny_object_dataset):
-        reset_default_engine()
-        histories = {}
-        for use_cache in (True, False):
-            model = DHGNN(
-                tiny_object_dataset.n_features,
-                tiny_object_dataset.n_classes,
-                refresh_period=2,
-                seed=0,
-                use_operator_cache=use_cache,
-            )
-            histories[use_cache] = _train_history(model, tiny_object_dataset)
-        for key in ("train_loss", "val_accuracy", "test_accuracy"):
-            assert histories[True].history[key] == histories[False].history[key], key
-
     def test_dhgcn_identical_across_knn_block_sizes(self, tiny_object_dataset):
         histories = {}
         for block_size in (7, None):
@@ -289,78 +125,3 @@ class TestCacheRegression:
             )
             histories[block_size] = _train_history(model, tiny_object_dataset)
         assert histories[7].history["train_loss"] == histories[None].history["train_loss"]
-
-    def test_trainer_reports_cache_stats(self, tiny_object_dataset):
-        reset_default_engine()
-        model = DHGCN(
-            tiny_object_dataset.n_features,
-            tiny_object_dataset.n_classes,
-            DHGCNConfig(refresh_period=2),
-            seed=1,
-        )
-        result = _train_history(model, tiny_object_dataset)
-        stats = result.extras["operator_cache"]
-        assert stats["misses"] > 0
-        assert result.extras["dynamic_hypergraphs_built"] > 0
-
-    def test_repeated_seed_reuses_static_operator(self, tiny_object_dataset):
-        """A sweep re-running the same dataset realisation hits the cache."""
-        reset_default_engine()
-        for _ in range(2):
-            model = DHGCN(
-                tiny_object_dataset.n_features,
-                tiny_object_dataset.n_classes,
-                DHGCNConfig(refresh_period=4),
-                seed=5,
-            )
-            model.setup(tiny_object_dataset)
-        assert get_default_engine().stats()["hits"] >= 1
-
-
-# --------------------------------------------------------------------------- #
-# Engine plumbing
-# --------------------------------------------------------------------------- #
-class TestRefreshProtocol:
-    def test_identical_rebuild_hits_superseding_discards(self):
-        """refresh_operator keeps an unchanged topology's entry, drops a changed one."""
-        engine = TopologyRefreshEngine()
-        hypergraph = _random_hypergraph(10)
-        first = engine.refresh_operator(None, hypergraph)
-        # Structurally identical rebuild (new object, same fingerprint): hit.
-        clone = Hypergraph(hypergraph.n_nodes, hypergraph.hyperedges, hypergraph.weights)
-        assert engine.refresh_operator(hypergraph, clone) is first
-        assert engine.stats()["hits"] == 1
-        # Structurally different refresh: the superseded entry is discarded.
-        changed = hypergraph.add_hyperedges([[0, 1]])
-        engine.refresh_operator(clone, changed)
-        assert len(engine.cache) == 1
-        assert engine.refresh_operator(None, changed) is not first
-
-    def test_builder_hits_cache_on_identical_rebuild(self):
-        """Steady-state refreshes that reproduce the topology must not rebuild."""
-        from repro.core import DynamicHypergraphBuilder
-
-        engine = TopologyRefreshEngine()
-        builder = DynamicHypergraphBuilder(
-            k_neighbors=3, use_cluster=False, use_edge_weighting=True, engine=engine
-        )
-        embedding = np.random.default_rng(0).normal(size=(15, 4))
-        operators = [builder.build_operator(embedding) for _ in range(3)]
-        assert operators[1] is operators[0] and operators[2] is operators[0]
-        assert engine.stats()["hits"] == 2
-        assert engine.stats()["misses"] == 1
-
-
-class TestEngineConfiguration:
-    def test_engine_block_size_validation(self):
-        with pytest.raises(Exception):
-            TopologyRefreshEngine(block_size=0)
-
-    def test_private_engine_isolated_from_default(self):
-        private = TopologyRefreshEngine()
-        hypergraph = _random_hypergraph(6)
-        private.propagation_operator(hypergraph)
-        assert private.stats()["misses"] == 1
-        assert len(private.cache) == 1
-        reset_default_engine()
-        assert get_default_engine().stats()["misses"] == 0

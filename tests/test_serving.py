@@ -3,29 +3,21 @@
 The load-bearing guarantees pinned here:
 
 * ``FrozenModel`` logits are **bit-identical** to ``Trainer`` evaluation for
-  DHGNN and DHGCN under every neighbour backend and both precision policies;
+  DHGNN and DHGCN under both precision policies;
 * a ``save -> OperatorStore.load -> FrozenModel`` round-trip reproduces the
   in-process predictions bit-for-bit, and a warm start performs **zero**
   k-NN distance computations before its first prediction;
-* online insertion of a few percent new nodes goes through the incremental
-  backend's scoped grow-and-repair (no construction rebuild) and matches an
-  exact-rebuild reference session bit-for-bit at ``tolerance=0``;
-* the full node lifecycle: deletion (lazy tombstoning through the backend's
+* online insertion of a few percent new nodes goes through each layer
+  index's scoped grow-and-repair (no construction rebuild) and matches a
+  reference session that rebuilds every k-NN cold, bit for bit;
+* the full node lifecycle: deletion (lazy tombstoning through the indices'
   shrink-and-repair), compaction (physical shrink + old->new id remap) and
-  cluster re-assignment all match an exact-rebuild reference session
-  bit-for-bit at ``tolerance=0`` — including random interleaved
-  insert/update/delete/compact sequences — and a churned session freezes
-  back into a warm bundle;
-* session isolation: every session owns a private refresh engine, operator
-  cache and backend state; empty mutations are no-ops and duplicate update
-  ids are rejected;
-* the operator cache's byte budget, its content-keyed neighbour memo, and
-  the cross-process stability of hypergraph fingerprints.
+  cluster re-assignment all match the cold-rebuild reference bit for bit —
+  including random interleaved insert/update/delete/compact sequences — and
+  a churned session freezes back into a warm bundle;
+* session isolation: every session owns private slot indices; empty
+  mutations are no-ops and duplicate update ids are rejected.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -40,17 +32,24 @@ from repro import (
     OperatorStore,
     TrainConfig,
     Trainer,
-    reset_default_engine,
 )
 from repro.autograd.tensor import Tensor, no_grad
 from repro.errors import ConfigurationError
-from repro.hypergraph import Hypergraph, OperatorCache, TopologyRefreshEngine
 from repro.hypergraph.knn import DISTANCE_COUNTERS
-from repro.hypergraph.neighbors import ExactBackend, IncrementalBackend
 from repro.precision import precision
+from test_session_histories import reference_session as _cold_session
 
-BACKENDS = [None, "incremental", "lsh"]
+#: Values TrainConfig.neighbor_backend still accepts; they select nothing.
+BACKENDS = [None, "incremental"]
 PRECISIONS = ["float64", "float32"]
+
+
+def _operator_bytes(session):
+    """Resident bytes of a DHGNN session's per-layer CSR operators."""
+    return sum(
+        op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
+        for op in session.plan.operators
+    )
 
 
 def _train(model, dataset, *, epochs=6, precision_name="float64", backend=None):
@@ -78,7 +77,6 @@ class TestFrozenBitIdentity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("precision_name", PRECISIONS)
     def test_dhgnn_golden(self, tiny_citation_dataset, backend, precision_name):
-        reset_default_engine()
         dataset = tiny_citation_dataset
         model = DHGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
         _train(model, dataset, precision_name=precision_name, backend=backend)
@@ -91,7 +89,6 @@ class TestFrozenBitIdentity:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_dhgcn(self, tiny_citation_dataset, backend):
-        reset_default_engine()
         dataset = tiny_citation_dataset
         model = DHGCN(dataset.n_features, dataset.n_classes, DHGCNConfig(hidden_dim=8), seed=0)
         _train(model, dataset, backend=backend)
@@ -101,7 +98,6 @@ class TestFrozenBitIdentity:
 
     @pytest.mark.parametrize("fusion", ["gate", "sum", "static_only", "dynamic_only"])
     def test_dhgcn_fusion_modes(self, tiny_citation_dataset, fusion):
-        reset_default_engine()
         dataset = tiny_citation_dataset
         config = (
             DHGCNConfig(hidden_dim=8, fusion=fusion)
@@ -117,7 +113,6 @@ class TestFrozenBitIdentity:
         assert np.array_equal(frozen.logits(), reference)
 
     def test_generic_module_plan(self, tiny_coauthorship_dataset):
-        reset_default_engine()
         dataset = tiny_coauthorship_dataset
         model = HGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
         _train(model, dataset)
@@ -128,7 +123,6 @@ class TestFrozenBitIdentity:
             frozen.embeddings()
 
     def test_labels_match_trainer_predict(self, tiny_citation_dataset):
-        reset_default_engine()
         dataset = tiny_citation_dataset
         model = DHGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
         trainer = _train(model, dataset)
@@ -138,7 +132,6 @@ class TestFrozenBitIdentity:
     def test_compile_straight_after_setup(self, tiny_citation_dataset):
         # A model that never ran a forward materialises its operators on
         # compile instead of failing.
-        reset_default_engine()
         dataset = tiny_citation_dataset
         model = DHGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
         model.setup(dataset)
@@ -153,36 +146,30 @@ class TestBundleRoundTrip:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("precision_name", PRECISIONS)
     def test_dhgnn_round_trip(self, tiny_citation_dataset, tmp_path, backend, precision_name):
-        reset_default_engine()
         dataset = tiny_citation_dataset
         model = DHGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
         trainer = _train(model, dataset, precision_name=precision_name, backend=backend)
         frozen = trainer.export_frozen(str(tmp_path / "bundle"))
         reference = frozen.logits()
-        reset_default_engine()
         loaded = FrozenModel.load(tmp_path / "bundle.npz")
         assert loaded.precision_name == precision_name
         assert np.array_equal(loaded.logits(), reference)
         assert np.array_equal(loaded.features, frozen.features)
 
     def test_dhgcn_round_trip(self, tiny_citation_dataset, tmp_path):
-        reset_default_engine()
         dataset = tiny_citation_dataset
         model = DHGCN(dataset.n_features, dataset.n_classes, DHGCNConfig(hidden_dim=8), seed=0)
         trainer = _train(model, dataset, backend="incremental")
         frozen = trainer.export_frozen(str(tmp_path / "bundle"))
         reference = frozen.logits()
-        reset_default_engine()
         loaded = FrozenModel.load(tmp_path / "bundle.npz")
         assert np.array_equal(loaded.logits(), reference)
 
     def test_warm_start_zero_distance_computations(self, tiny_citation_dataset, tmp_path):
-        reset_default_engine()
         dataset = tiny_citation_dataset
         model = DHGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
         trainer = _train(model, dataset, backend="incremental")
         trainer.export_frozen(str(tmp_path / "bundle"))
-        reset_default_engine()
         loaded = FrozenModel.load(tmp_path / "bundle.npz")
         session = InferenceSession(loaded)
         DISTANCE_COUNTERS.reset()
@@ -195,7 +182,6 @@ class TestBundleRoundTrip:
         assert embeddings.shape[0] == 3
 
     def test_generic_plan_not_bundleable(self, tiny_coauthorship_dataset, tmp_path):
-        reset_default_engine()
         dataset = tiny_coauthorship_dataset
         model = HGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
         _train(model, dataset)
@@ -209,7 +195,6 @@ class TestBundleRoundTrip:
 # --------------------------------------------------------------------------- #
 class TestOnlineChurn:
     def _bundle(self, dataset, tmp_path, model_kind="dhgnn"):
-        reset_default_engine()
         if model_kind == "dhgnn":
             model = DHGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
         else:
@@ -237,14 +222,12 @@ class TestOnlineChurn:
         incremental = InferenceSession(
             FrozenModel.load(bundle), cluster_assignment=policy
         )
-        exact = InferenceSession(
-            FrozenModel.load(bundle, backend=ExactBackend()), cluster_assignment=policy
-        )
+        exact = _cold_session(bundle, cluster_assignment=policy)
         ids = incremental.insert_nodes(new_features)
         assert np.array_equal(ids, np.arange(dataset.n_nodes, dataset.n_nodes + 5))
         exact.insert_nodes(new_features)
-        # tolerance=0, float64: the scoped repair is bit-identical to the
-        # exact full rebuild of the same refresh pipeline.
+        # float64: the scoped repair is bit-identical to the cold full
+        # rebuild of the same refresh pipeline.
         assert np.array_equal(
             incremental.predict(output="logits"), exact.predict(output="logits")
         )
@@ -257,32 +240,24 @@ class TestOnlineChurn:
         bundle = self._bundle(dataset, tmp_path)
         new_features = self._new_nodes(dataset, 5)
 
-        # A small positive tolerance absorbs the degree-renormalisation
-        # ripple insertion causes in deeper-layer embeddings: the refresh
-        # stays scoped (zero backend full rebuilds) at bounded staleness.
-        session = InferenceSession(
-            FrozenModel.load(bundle, backend=IncrementalBackend(tolerance=0.05)),
-            cluster_assignment="frozen",
-        )
+        # Layer 0's index grows by the new rows (no rebuild); deeper layers
+        # repair or rebuild as far as the insertion moved their embeddings.
+        session = InferenceSession(FrozenModel.load(bundle), cluster_assignment="frozen")
         DISTANCE_COUNTERS.reset()
         session.insert_nodes(new_features)
         session.predict()
         incremental_pairs = DISTANCE_COUNTERS.pairs
-        stats = session.stats()["backend"]
-        assert stats["full_rebuilds"] == 0
-        assert stats["rows_inserted"] == 10  # 5 nodes x 2 layer streams
+        layers = session.stats()["neighbors"]
+        assert layers[0]["full_rebuilds"] == 0
+        assert [row["rows_inserted"] for row in layers] == [5, 5]
 
-        exact = InferenceSession(
-            FrozenModel.load(bundle, backend=ExactBackend()), cluster_assignment="frozen"
-        )
+        exact = _cold_session(bundle, cluster_assignment="frozen")
         DISTANCE_COUNTERS.reset()
         exact.insert_nodes(new_features)
         exact.predict()
         assert incremental_pairs < DISTANCE_COUNTERS.pairs
-        # Bounded staleness: the tolerant session still predicts close to the
-        # exact rebuild.
-        assert np.allclose(
-            session.predict(output="logits"), exact.predict(output="logits"), atol=0.05
+        assert np.array_equal(
+            session.predict(output="logits"), exact.predict(output="logits")
         )
 
     def test_feature_updates_flow_through_update(self, tiny_citation_dataset, tmp_path):
@@ -298,7 +273,7 @@ class TestOnlineChurn:
         assert not np.array_equal(before, after)
         assert np.allclose(session.features[moved], values)
 
-        exact = InferenceSession(FrozenModel.load(bundle, backend=ExactBackend()))
+        exact = _cold_session(bundle)
         exact.update_features(moved, values)
         assert np.array_equal(after, exact.predict(output="logits"))
 
@@ -335,8 +310,8 @@ class TestOnlineChurn:
         assert np.array_equal(second.predict(output="logits"), baseline)
         assert frozen.forward().shape == (dataset.n_nodes, dataset.n_classes)
         assert frozen.features.shape[0] == dataset.n_nodes
-        # The frozen backend's state was not grown by the session's insert.
-        assert frozen.engine.backend.rows_inserted == 0
+        # The frozen slot indices were not grown by the session's insert.
+        assert all(slot.index.rows_inserted == 0 for slot in frozen.plan.slots)
 
     def test_dhgcn_static_reweight_is_call_order_independent(
         self, tiny_citation_dataset, tmp_path
@@ -377,7 +352,6 @@ class TestOnlineChurn:
 # --------------------------------------------------------------------------- #
 class TestNodeLifecycle:
     def _bundle(self, dataset, tmp_path, model_kind="dhgnn", precision_name="float64"):
-        reset_default_engine()
         if model_kind == "dhgnn":
             model = DHGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
         else:
@@ -398,26 +372,26 @@ class TestNodeLifecycle:
         doomed = [3, 17, 40, 41, 99]
 
         incremental = InferenceSession(FrozenModel.load(bundle))
-        exact = InferenceSession(FrozenModel.load(bundle, backend=ExactBackend()))
+        exact = _cold_session(bundle)
         incremental.delete_nodes(doomed)
         exact.delete_nodes(doomed)
-        # tolerance=0: the shrink-and-repair is bit-identical to the exact
-        # full rebuild of the surviving node set.
+        # The shrink-and-repair is bit-identical to the cold full rebuild of
+        # the surviving node set.
         logits = incremental.predict(output="logits")
         assert np.array_equal(logits, exact.predict(output="logits"))
         assert logits.shape[0] == dataset.n_nodes - 5
         assert incremental.n_alive == dataset.n_nodes - 5
         assert incremental.n_nodes == dataset.n_nodes  # lazy: matrix unshrunk
-        backend_stats = incremental.stats()["backend"]
+        layer0 = incremental.stats()["neighbors"][0]
         if precision_name == "float64":
-            # The layer-0 stream was shrunk in place (deeper streams may
-            # legitimately churn past the threshold at tolerance=0).
-            assert backend_stats["rows_deleted"] > 0
+            # The layer-0 index was shrunk in place (deeper layers may
+            # legitimately churn past the threshold).
+            assert layer0["rows_deleted"] > 0
         else:
             # float32 states are dropped (recentring reorders near-ties
             # wholesale), so bit-identity comes from a clean full rebuild.
-            assert backend_stats["rows_deleted"] == 0
-            assert backend_stats["full_rebuilds"] > 0
+            assert layer0["rows_deleted"] == 0
+            assert layer0["full_rebuilds"] > 0
 
     @pytest.mark.parametrize("model_kind", ["dhgnn", "dhgcn"])
     def test_compact_matches_exact_rebuild(
@@ -428,7 +402,7 @@ class TestNodeLifecycle:
         doomed = [0, 25, 60, 119]
 
         incremental = InferenceSession(FrozenModel.load(bundle))
-        exact = InferenceSession(FrozenModel.load(bundle, backend=ExactBackend()))
+        exact = _cold_session(bundle)
         incremental.delete_nodes(doomed)
         exact.delete_nodes(doomed)
         remap = incremental.compact()
@@ -501,40 +475,34 @@ class TestNodeLifecycle:
         bundle = self._bundle(dataset, tmp_path)
         doomed = [2, 30, 31, 77, 111]
 
-        session = InferenceSession(
-            FrozenModel.load(bundle, backend=IncrementalBackend(tolerance=0.05)),
-            cluster_assignment="frozen",
-        )
+        session = InferenceSession(FrozenModel.load(bundle), cluster_assignment="frozen")
         session.predict()
         DISTANCE_COUNTERS.reset()
         session.delete_nodes(doomed)
         session.predict()
         incremental_pairs = DISTANCE_COUNTERS.pairs
-        assert session.stats()["backend"]["full_rebuilds"] == 0
+        assert session.stats()["neighbors"][0]["full_rebuilds"] == 0
 
         feature_bytes = session.features.nbytes
-        operator_bytes = session.stats()["engine"]["bytes"]
+        operator_bytes = _operator_bytes(session)
         session.compact()
         assert session.features.nbytes < feature_bytes
-        assert session.stats()["engine"]["bytes"] < operator_bytes
+        assert _operator_bytes(session) < operator_bytes
 
-        exact = InferenceSession(
-            FrozenModel.load(bundle, backend=ExactBackend()), cluster_assignment="frozen"
-        )
+        exact = _cold_session(bundle, cluster_assignment="frozen")
         exact.predict()
         DISTANCE_COUNTERS.reset()
         exact.delete_nodes(doomed)
         exact.predict()
         assert incremental_pairs < DISTANCE_COUNTERS.pairs
 
-    def test_repeated_deletions_do_not_accumulate_cache_entries(
+    def test_masked_static_operator_rebuilt_once_per_deletion(
         self, tiny_citation_dataset, tmp_path
     ):
-        # Every tombstone generation supersedes the previous one's masked
-        # operators (including the unweighted-DHGCN static channel), so a
-        # long-running delete->predict server keeps a bounded cache.
+        # The unweighted DHGCN static operator changes only with the
+        # tombstone set: refreshes between deletions reuse it, each deletion
+        # rebuilds it, and the answers match a cold-rebuild session.
         dataset = tiny_citation_dataset
-        reset_default_engine()
         model = DHGCN(
             dataset.n_features,
             dataset.n_classes,
@@ -543,18 +511,23 @@ class TestNodeLifecycle:
         )
         trainer = _train(model, dataset, backend="incremental")
         trainer.export_frozen(str(tmp_path / "bundle"))
-        session = InferenceSession(FrozenModel.load(tmp_path / "bundle.npz"))
-        session.delete_nodes([1, 2])
-        session.predict()
-        entries = session.stats()["engine"]["entries"]
-        bytes_first = session.stats()["engine"]["bytes"]
-        for doomed in ([5, 6], [9], [12, 13]):
+        bundle = tmp_path / "bundle.npz"
+        session = InferenceSession(FrozenModel.load(bundle))
+        exact = _cold_session(bundle)
+        for doomed in ([1, 2], [5, 6], [9]):
             session.delete_nodes(doomed)
+            exact.delete_nodes(doomed)
             session.predict()
-            assert session.stats()["engine"]["entries"] == entries
-            assert session.stats()["engine"]["bytes"] <= bytes_first
+            static = session.plan.static_operator
+            session.update_features([30], session.features[[30]] + 0.1)
+            exact.update_features([30], exact.features[[30]] + 0.1)
+            assert np.array_equal(
+                session.predict(output="logits"), exact.predict(output="logits")
+            )
+            assert session.plan.static_operator is static
         session.compact()
-        assert session.stats()["engine"]["bytes"] < bytes_first
+        exact.compact()
+        assert np.array_equal(session.predict(output="logits"), exact.predict(output="logits"))
 
     @pytest.mark.parametrize("model_kind", ["dhgnn", "dhgcn"])
     def test_reassign_clusters_is_backend_independent(
@@ -563,7 +536,7 @@ class TestNodeLifecycle:
         dataset = tiny_citation_dataset
         bundle = self._bundle(dataset, tmp_path, model_kind)
         incremental = InferenceSession(FrozenModel.load(bundle))
-        exact = InferenceSession(FrozenModel.load(bundle, backend=ExactBackend()))
+        exact = _cold_session(bundle)
         moves = incremental.reassign_clusters()
         assert moves == exact.reassign_clusters()
         assert incremental.reassignments == 1
@@ -626,32 +599,31 @@ class TestNodeLifecycle:
         reference = session.predict(output="logits")
 
         snapshot = session.to_frozen()
-        # The snapshot owns its cache and backend: further session churn
-        # must not age or grow them.
-        assert snapshot.engine.cache is not session.engine.cache
-        assert snapshot.engine.backend is not session.backend
+        # The snapshot owns its slot indices: further session churn must not
+        # grow them.
+        for mine, theirs in zip(snapshot.plan.slots, session.plan.slots):
+            assert mine.index is not theirs.index
         checkpoint = snapshot.save(tmp_path / "checkpoint")
-        reset_default_engine()
         restored = InferenceSession(FrozenModel.load(checkpoint))
         DISTANCE_COUNTERS.reset()
         assert np.array_equal(restored.predict(output="logits"), reference)
         assert DISTANCE_COUNTERS.pairs == 0
-        # The restored backend state is warm: the layer-0 stream repairs
-        # incrementally instead of rebuilding.
+        # The restored index state is warm: layer 0 repairs incrementally
+        # instead of rebuilding.
         restored.update_features([0], restored.features[[0]] + 0.05)
         restored.predict()
-        assert restored.stats()["backend"]["partial_refreshes"] >= 1
+        assert restored.stats()["neighbors"][0]["partial_refreshes"] >= 1
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_interleaved_lifecycle_property(self, tiny_citation_dataset, tmp_path, seed):
         # Random insert/update/delete/compact sequences: the incremental
-        # session at tolerance=0 stays bit-identical to the exact full
-        # rebuild of the same surviving node set, and the per-refresh
-        # bookkeeping invariants hold after every predict.
+        # session stays bit-identical to the cold full rebuild of the same
+        # surviving node set, and the per-refresh bookkeeping invariants
+        # hold after every predict.
         dataset = tiny_citation_dataset
         bundle = self._bundle(dataset, tmp_path)
         incremental = InferenceSession(FrozenModel.load(bundle))
-        exact = InferenceSession(FrozenModel.load(bundle, backend=ExactBackend()))
+        exact = _cold_session(bundle)
         rng = np.random.default_rng(seed)
         for step in range(8):
             operation = rng.choice(["insert", "update", "delete", "compact"])
@@ -682,13 +654,13 @@ class TestNodeLifecycle:
                 incremental.predict(output="logits"), exact.predict(output="logits")
             )
             # Refresh bookkeeping invariants: the mover mask and insertion
-            # counter reset, the backend states track the alive set.
+            # counter reset, the index states track the alive set.
             assert incremental.refreshes >= refreshes
             assert not incremental._moved.any()
             assert incremental._inserted == 0
             assert incremental._state_ids.size == incremental.n_alive
-            backend_stats = incremental.stats()["backend"]
-            assert backend_stats["states"] >= 1
+            for slot in incremental.plan.slots:
+                assert slot.index.export_state()["features"].shape[0] == incremental.n_alive
         assert incremental.n_alive == exact.n_alive
 
 
@@ -697,28 +669,24 @@ class TestNodeLifecycle:
 # --------------------------------------------------------------------------- #
 class TestSessionBugfixes:
     def _bundle(self, dataset, tmp_path):
-        reset_default_engine()
         model = DHGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
         trainer = _train(model, dataset, backend="incremental")
         trainer.export_frozen(str(tmp_path / "bundle"))
         return tmp_path / "bundle.npz"
 
-    def test_sessions_get_private_engine_and_cache(
-        self, tiny_citation_dataset, tmp_path
-    ):
+    def test_sessions_get_private_indices(self, tiny_citation_dataset, tmp_path):
         # Two sessions over one FrozenModel: one churns (insert + delete +
-        # compact), the other's predictions stay bit-identical and its cache
-        # stats untouched.
+        # compact), the other's predictions stay bit-identical and its index
+        # counters untouched.
         dataset = tiny_citation_dataset
         frozen = FrozenModel.load(self._bundle(dataset, tmp_path))
         churning = InferenceSession(frozen)
         steady = InferenceSession(frozen)
-        assert churning.engine is not frozen.engine
-        assert churning.engine.cache is not frozen.engine.cache
-        assert churning.engine.cache is not steady.engine.cache
+        for slots in zip(frozen.plan.slots, churning.plan.slots, steady.plan.slots):
+            assert len({id(slot.index) for slot in slots}) == 3
 
         baseline = steady.predict(output="logits")
-        steady_stats = steady.stats()["engine"].copy()
+        steady_stats = steady.stats()["neighbors"]
         rng = np.random.default_rng(7)
         churning.insert_nodes(
             dataset.features[rng.choice(dataset.n_nodes, 4, replace=False)] + 0.02
@@ -729,21 +697,26 @@ class TestSessionBugfixes:
         churning.compact()
         churning.predict()
         assert np.array_equal(steady.predict(output="logits"), baseline)
-        assert steady.stats()["engine"] == steady_stats
+        assert steady.stats()["neighbors"] == steady_stats
         assert frozen.features.shape[0] == dataset.n_nodes
 
-    def test_private_cache_is_seeded_from_frozen(self, tiny_citation_dataset):
-        # A compiled (in-process) frozen model carries cached operators; the
-        # session's private cache starts warm with those entries.
-        reset_default_engine()
+    def test_session_indices_start_from_primed_state(self, tiny_citation_dataset):
+        # A compiled (in-process) frozen model primes each slot index with
+        # the serving embeddings; a session clones those states, so its
+        # first refresh after a small update repairs instead of rebuilding.
         dataset = tiny_citation_dataset
         model = DHGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
         _train(model, dataset, backend="incremental")
         frozen = FrozenModel.compile(model, dataset.features)
-        source_entries = len(frozen.engine.cache.export_entries())
-        assert source_entries > 0
+        assert frozen.prime() == len(frozen.plan.slots)
         session = InferenceSession(frozen)
-        assert session.stats()["engine"]["entries"] == source_entries
+        for mine, source in zip(session.plan.slots, frozen.plan.slots):
+            assert np.array_equal(
+                mine.index.export_state()["indices"], source.index.export_state()["indices"]
+            )
+        session.update_features([3], session.features[[3]] + 0.01)
+        session.predict()
+        assert session.stats()["neighbors"][0]["full_rebuilds"] == 0
 
     def test_empty_mutations_are_noops(self, tiny_citation_dataset, tmp_path):
         dataset = tiny_citation_dataset
@@ -843,43 +816,9 @@ class TestSessionBugfixes:
 
 
 # --------------------------------------------------------------------------- #
-# OperatorStore and the operator cache bridges
+# OperatorStore
 # --------------------------------------------------------------------------- #
 class TestOperatorStore:
-    def test_cache_snapshot_round_trip(self, tmp_path):
-        hypergraph = Hypergraph(6, [[0, 1, 2], [2, 3], [3, 4, 5]], [1.0, 2.0, 0.5])
-        cache = OperatorCache()
-        operator = cache.propagation_operator(hypergraph)
-        laplacian = cache.laplacian(hypergraph)
-        path = OperatorStore.from_cache(cache).save(tmp_path / "ops")
-
-        restored_cache = OperatorCache()
-        installed = OperatorStore.load(path).install_into(restored_cache)
-        assert installed == 2
-        before_misses = restored_cache.misses
-        hit_operator = restored_cache.propagation_operator(hypergraph)
-        hit_laplacian = restored_cache.laplacian(hypergraph)
-        assert restored_cache.misses == before_misses  # both were hits
-        assert np.array_equal(hit_operator.toarray(), operator.toarray())
-        assert np.array_equal(hit_laplacian.toarray(), laplacian.toarray())
-
-    def test_fingerprints_stable_across_processes(self):
-        # The persistence story relies on fingerprints (cache keys) being
-        # identical in a different interpreter with a different hash seed.
-        code = (
-            "from repro.hypergraph import Hypergraph;"
-            "print(repr(Hypergraph(5, [[0, 1], [1, 2, 3], [4, 0]], [1.0, 0.5, 2.0])"
-            ".fingerprint()))"
-        )
-        env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH="src")
-        output = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, check=True, env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        ).stdout.strip()
-        local = Hypergraph(5, [[0, 1], [1, 2, 3], [4, 0]], [1.0, 0.5, 2.0]).fingerprint()
-        assert output == repr(local)
-
     def test_group_and_meta_round_trip(self, tmp_path):
         store = OperatorStore()
         store.put_group("weights", {"layer0.weight": np.arange(6.0).reshape(2, 3)})
@@ -893,19 +832,6 @@ class TestOperatorStore:
         assert not loaded.has_group("missing")
         with pytest.raises(KeyError):
             loaded.get_group("missing")
-
-    def test_backend_capture_requires_same_kind(self, tmp_path):
-        backend = IncrementalBackend()
-        backend.query(np.random.default_rng(0).normal(size=(20, 4)), 3)
-        store = OperatorStore()
-        store.capture_backend(backend)
-        path = store.save(tmp_path / "b")
-        loaded = OperatorStore.load(path)
-        # Same kind, different tolerance: states restore fine.
-        tolerant = IncrementalBackend(tolerance=0.5)
-        assert loaded.restore_backend(tolerant) == 1
-        with pytest.raises(ConfigurationError):
-            loaded.restore_backend(ExactBackend())
 
     def test_save_is_atomic(self, tmp_path, monkeypatch):
         # A crash mid-write must never leave a torn archive at the target
@@ -932,66 +858,10 @@ class TestOperatorStore:
 
 
 # --------------------------------------------------------------------------- #
-# OperatorCache: byte budget + neighbour memo (satellites)
-# --------------------------------------------------------------------------- #
-class TestCacheBudgetsAndMemo:
-    def test_byte_budget_evicts_lru(self):
-        cache = OperatorCache(max_entries=64, max_bytes=1)
-        graphs = [Hypergraph(8, [[i, (i + 1) % 8, (i + 2) % 8]]) for i in range(4)]
-        for graph in graphs:
-            cache.propagation_operator(graph)
-        stats = cache.stats()
-        # A 1-byte budget keeps only the most recent entry alive.
-        assert stats["entries"] == 1
-        assert stats["evictions"] == 3
-        assert stats["bytes"] > 0
-        # The surviving entry is the most recently inserted one.
-        assert cache.propagation_operator(graphs[-1]) is not None
-        assert cache.stats()["hits"] == 1
-
-    def test_byte_budget_validation(self):
-        with pytest.raises(ConfigurationError):
-            OperatorCache(max_bytes=0)
-        with pytest.raises(ConfigurationError):
-            OperatorCache(max_neighbor_entries=0)
-
-    def test_neighbor_memo_shares_distance_pass(self):
-        engine = TopologyRefreshEngine(cache=OperatorCache())
-        rng = np.random.default_rng(3)
-        features = rng.normal(size=(60, 7))
-        first = engine.query_neighbors(features, 5)
-        DISTANCE_COUNTERS.reset()
-        second = engine.query_neighbors(features.copy(), 5)
-        assert DISTANCE_COUNTERS.pairs == 0  # pure memo hit
-        assert np.array_equal(first, second)
-        stats = engine.stats()
-        assert stats["neighbor_hits"] == 1 and stats["neighbor_misses"] == 1
-        # Different k or content: miss.
-        engine.query_neighbors(features, 4)
-        engine.query_neighbors(features + 1.0, 5)
-        assert engine.stats()["neighbor_misses"] == 3
-
-    def test_sweep_reuses_neighbor_lists_across_models(self, tiny_object_dataset):
-        # Two differently-seeded DHGNN runs build their first-layer topology
-        # from the same raw features: the second run's first k-NN pass must be
-        # a memo hit (asserted through the shared engine's counters).
-        reset_default_engine()
-        dataset = tiny_object_dataset
-        for seed in (0, 1):
-            model = DHGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=seed)
-            _train(model, dataset, epochs=2)
-        from repro.hypergraph import get_default_engine
-
-        stats = get_default_engine().stats()
-        assert stats["neighbor_hits"] >= 1
-
-
-# --------------------------------------------------------------------------- #
 # Trainer / TrainResult export hooks
 # --------------------------------------------------------------------------- #
 class TestExportHooks:
     def test_train_result_round_trip(self, tiny_citation_dataset, tmp_path):
-        reset_default_engine()
         dataset = tiny_citation_dataset
         model = DHGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
         trainer = Trainer(model, dataset, TrainConfig(epochs=3, patience=None))
@@ -1002,7 +872,6 @@ class TestExportHooks:
         assert loaded.history["train_loss"] == result.history["train_loss"]
 
     def test_export_frozen_without_path(self, tiny_citation_dataset):
-        reset_default_engine()
         dataset = tiny_citation_dataset
         model = DHGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
         trainer = Trainer(model, dataset, TrainConfig(epochs=3, patience=None))

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import DHGNN, FrozenModel, TrainConfig, Trainer, reset_default_engine
+from repro import DHGNN, FrozenModel, TrainConfig, Trainer
 from repro.errors import ConfigurationError
 from repro.serving import (
     CRASH_EXIT_CODE,
@@ -68,7 +68,6 @@ def _clean_fault_registry():
 @pytest.fixture(scope="module")
 def bundle_path(tiny_citation_dataset, tmp_path_factory):
     """One trained DHGNN bundle shared by every test in this module."""
-    reset_default_engine()
     dataset = tiny_citation_dataset
     model = DHGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
     trainer = Trainer(

@@ -42,21 +42,19 @@ from repro import (
     InferenceSession,
     TrainConfig,
     Trainer,
-    reset_default_engine,
 )
 from repro.cli import build_parser
 from repro.errors import ConfigurationError
-from repro.hypergraph import IncrementalBackend
 from repro.serving import Generation, OperatorStore
 from repro.serving.server import (
     ServerConfig,
     ServingServer,
     SessionPool,
 )
+from test_session_histories import reference_session
 
 
 def _train_bundle(dataset, path, **model_kwargs):
-    reset_default_engine()
     model = DHGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0, **model_kwargs)
     trainer = Trainer(
         model,
@@ -157,7 +155,6 @@ class TestGeneration:
         assert np.array_equal(generation.answer([2, 5], output=output), expected)
 
     def test_module_plan_generation_has_no_embeddings(self, tiny_coauthorship_dataset):
-        reset_default_engine()
         dataset = tiny_coauthorship_dataset
         model = HGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
         Trainer(model, dataset, TrainConfig(epochs=2, patience=None)).train()
@@ -402,6 +399,25 @@ class TestServingServerHTTP:
             assert stats["pool"]["generation"] == 1
             assert stats["telemetry"]["queue_depth"] == 0
             assert "batcher" not in stats and "replicas" not in stats["pool"]
+            # One k-NN counter block per dynamic layer: the warm bundle
+            # answered its first publish with no k-NN work at all.
+            counters = (
+                "full_rebuilds", "partial_refreshes", "rows_requeried",
+                "rows_repaired_locally", "rows_inserted", "rows_deleted",
+            )
+            neighbors = stats["pool"]["writer"]["neighbors"]
+            assert [row["layer"] for row in neighbors] == [0, 1]
+            assert all(row[key] == 0 for row in neighbors for key in counters)
+
+            status, _ = await client.request(
+                "POST", "/update",
+                {"nodes": [4], "features": [(direct.features[4] + 0.1).tolist()]},
+            )
+            assert status == 200
+            status, stats = await client.request("GET", "/stats")
+            layer0, layer1 = stats["pool"]["writer"]["neighbors"]
+            assert layer0["partial_refreshes"] == 1 and layer0["full_rebuilds"] == 0
+            assert layer1["full_rebuilds"] + layer1["partial_refreshes"] == 1
 
         self._serve(bundle_path, scenario)
 
@@ -660,20 +676,84 @@ class TestLegacyShardedBundles:
                 pool.current.answer(output=output), plain.current.answer(output=output)
             )
 
-    def test_sharded_backend_key_needs_an_explicit_backend(self, tmp_path, bundle_path):
-        store = OperatorStore.load(bundle_path)
-        store.meta["backend"]["cache_key"] = ["sharded", 4, 0]
-        legacy = tmp_path / "sharded_backend_bundle.npz"
-        store.save(legacy)
-
-        with pytest.raises(ConfigurationError, match="cannot reconstruct a backend"):
-            FrozenModel.load(legacy)
-        loaded = InferenceSession(FrozenModel.load(legacy, backend=IncrementalBackend()))
+    def test_sharded_backend_key_is_ignored(self, tmp_path, bundle_path):
+        # A shared-backend bundle naming the deleted sharded backend loads
+        # like any other: the backend key is ignored.
+        legacy = _legacy_backend_bundle(bundle_path, tmp_path / "sharded.npz", ["sharded", 4, 0])
+        loaded = InferenceSession(FrozenModel.load(legacy))
         original = InferenceSession(FrozenModel.load(bundle_path))
         for output in ("labels", "logits", "embeddings"):
             assert np.array_equal(
                 loaded.predict(output=output), original.predict(output=output)
             )
+
+
+def _legacy_backend_bundle(bundle_path, path, cache_key):
+    """Rewrite a bundle into the layout written before each topology slot
+    carried its own k-NN index: no per-slot index arrays, one shared backend
+    named by ``meta["backend"]`` and its state in a ``backend_state0`` group."""
+    store = OperatorStore.load(bundle_path)
+    signatures = []
+    for entry in store.meta["slots"]:
+        name = f"slot{entry['position']}"
+        group = store.get_group(name)
+        state = {
+            key[len("index."):]: group.pop(key) for key in list(group) if key.startswith("index.")
+        }
+        assert state, "a new bundle carries per-slot index arrays"
+        store.put_group(name, group)
+        if not signatures:
+            features, indices = state["features"], state["indices"]
+            store.put_group(
+                "backend_state0",
+                {key: state[key] for key in ("features", "indices", "distances")},
+            )
+            signatures.append(
+                [*features.shape, features.dtype.name, indices.shape[1], False, "euclidean"]
+            )
+    store.meta["backend"] = {"cache_key": list(cache_key), "state_signatures": signatures}
+    return store.save(path)
+
+
+class TestLegacyBackendBundles:
+    """Bundles whose slots share one captured neighbour backend."""
+
+    def _check(self, legacy, bundle_path):
+        frozen = FrozenModel.load(legacy)
+        assert all(slot.index.export_state() is None for slot in frozen.plan.slots)
+        loaded = InferenceSession(frozen)
+        original = InferenceSession(FrozenModel.load(bundle_path))
+        for output in ("labels", "logits", "embeddings"):
+            assert np.array_equal(
+                loaded.predict(output=output), original.predict(output=output)
+            )
+        # The first refresh after the load rebuilds each layer's k-NN cold,
+        # and equals the cold reference of the history harness.
+        reference = reference_session(bundle_path)
+        nodes = [1, 4, 9]
+        values = loaded.features[nodes] + 0.05
+        new_rows = loaded.features[[2, 3]] + 0.01
+        for session in (loaded, reference):
+            session.update_features(nodes, values)
+            session.insert_nodes(new_rows)
+        assert np.array_equal(
+            loaded.predict(output="logits"), reference.predict(output="logits")
+        )
+        assert [row["full_rebuilds"] for row in loaded.stats()["neighbors"]] == [1, 1]
+
+    def test_shared_incremental_backend_bundle(self, tmp_path, bundle_path):
+        self._check(
+            _legacy_backend_bundle(
+                bundle_path, tmp_path / "incremental.npz", ["incremental", 0.0, 0.35]
+            ),
+            bundle_path,
+        )
+
+    def test_lsh_backend_bundle_refreshes_exactly(self, tmp_path, bundle_path):
+        self._check(
+            _legacy_backend_bundle(bundle_path, tmp_path / "lsh.npz", ["lsh", 8, None, 2, 0]),
+            bundle_path,
+        )
 
 
 # --------------------------------------------------------------------------- #

@@ -31,7 +31,6 @@ from hypothesis.stateful import (
 from repro import DHGCN, DHGCNConfig, DHGNN, FrozenModel, InferenceSession, TrainConfig, Trainer
 from repro.data.citation import make_citation_dataset
 from repro.errors import ConfigurationError
-from repro.hypergraph.neighbors import ExactBackend
 
 K = 3
 N_NODES = 60
@@ -82,9 +81,22 @@ def bundles(tmp_path_factory):
     return paths
 
 
-def reference_session(bundle) -> InferenceSession:
-    """A session over ``bundle`` whose every refresh runs a cold k-NN."""
-    return InferenceSession(FrozenModel.load(bundle, backend=ExactBackend()))
+def reference_session(bundle, **kwargs) -> InferenceSession:
+    """A session over ``bundle`` whose every refresh runs a cold k-NN.
+
+    Every slot's index is reset before each refresh, so each layer's
+    neighbours come from a full rebuild.
+    """
+    session = InferenceSession(FrozenModel.load(bundle), **kwargs)
+    refresh = session._refresh
+
+    def cold_refresh():
+        for slot in session.plan.slots:
+            slot.index.reset()
+        refresh()
+
+    session._refresh = cold_refresh
+    return session
 
 
 class SessionHistories(RuleBasedStateMachine):
