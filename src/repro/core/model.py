@@ -156,6 +156,25 @@ class DHGCN(BaseNodeClassifier):
     # ------------------------------------------------------------------ #
     # Forward
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def layer(
+        block: DualChannelBlock,
+        hidden: Tensor,
+        static_operator: sp.csr_matrix | None,
+        dynamic_operator: sp.csr_matrix | None,
+        *,
+        last: bool,
+    ) -> Tensor:
+        """One DHGCN layer: the gated dual-channel block, ReLU unless ``last``.
+
+        The single definition of the layer arithmetic: :meth:`forward` calls
+        it after dropout, and the serving plan
+        (:class:`repro.serving.FrozenModel`) calls it on its own copies of
+        the trained blocks.
+        """
+        hidden = block(hidden, static_operator, dynamic_operator)
+        return hidden if last else hidden.relu()
+
     def forward(self, features: Tensor) -> Tensor:
         self.require_setup()
         hidden = as_tensor(features)
@@ -176,9 +195,13 @@ class DHGCN(BaseNodeClassifier):
                     )
             self._block_inputs[position] = hidden.data
             hidden = self.dropout(hidden)
-            hidden = block(hidden, self._static_operator, self._dynamic_operators[position])
-            if position < last:
-                hidden = hidden.relu()
+            hidden = self.layer(
+                block,
+                hidden,
+                self._static_operator,
+                self._dynamic_operators[position],
+                last=position == last,
+            )
         self._needs_refresh = False
         return hidden
 

@@ -139,9 +139,22 @@ class DHGNN(BaseNodeClassifier):
             "indices": list(self._indices),
         }
 
+    @staticmethod
+    def layer(linear: Linear, hidden: Tensor, operator: sp.csr_matrix, *, last: bool) -> Tensor:
+        """One DHGNN layer, ``Θ (h W + b)``, followed by ReLU unless ``last``.
+
+        The single definition of the layer arithmetic: :meth:`forward` calls
+        it after dropout, and the serving plan
+        (:class:`repro.serving.FrozenModel`) calls it on its own copies of
+        the trained ``Linear`` modules.
+        """
+        hidden = spmm(operator, linear(hidden))
+        return hidden if last else hidden.relu()
+
     def forward(self, features: Tensor) -> Tensor:
         self.require_setup()
         hidden = as_tensor(features)
+        last = len(self.layers) - 1
         for position, layer in enumerate(self.layers):
             if self._needs_refresh or self._operators[position] is None:
                 # Build from the freshest embedding seen at this depth
@@ -153,8 +166,8 @@ class DHGNN(BaseNodeClassifier):
                     self._operators[position] = self._build_operator(reference, position)
             self._layer_inputs[position] = hidden.data
             hidden = self.dropout(hidden)
-            hidden = spmm(self._operators[position], layer(hidden))
-            if position < len(self.layers) - 1:
-                hidden = hidden.relu()
+            hidden = self.layer(
+                layer, hidden, self._operators[position], last=position == last
+            )
         self._needs_refresh = False
         return hidden

@@ -2,14 +2,15 @@
 
 The serving layer turns a trained model into a deployable artefact:
 
-* :class:`FrozenModel` — compiles a model into a no-grad, policy-dtype
-  forward plan reusing the already-resolved propagation operators; logits
-  are bit-identical to ``Trainer`` evaluation;
+* :class:`FrozenModel` — compiles a trained DHGNN or DHGCN into a plan that
+  serves copies of its trained layers, through the model's own per-layer
+  step, over the already-resolved propagation operators; logits equal
+  ``Trainer`` evaluation by construction;
 * :class:`OperatorStore` — one-file persistence of operators, weights and
   each layer's k-NN index state, so server restarts skip cold topology
   rebuilds entirely;
 * :class:`InferenceSession` — queries plus the full online node lifecycle
-  through scoped incremental topology repairs: feature updates, insertion,
+  through incremental k-NN index repairs: feature updates, insertion,
   deletion (lazy tombstoning), compaction (physical shrink + id remap) and
   periodic cluster re-assignment; a churned session freezes back into a
   bundleable model with :meth:`InferenceSession.to_frozen`;

@@ -1,20 +1,17 @@
-"""Frozen-model compilation: a no-grad, policy-dtype inference path.
+"""Frozen models: the trained layers, served over resolved operators.
 
-:class:`FrozenModel` compiles a trained model into a *plan* — plain numpy
-arrays (weights, gates) plus the already-resolved sparse propagation
-operators — whose forward pass performs exactly the arithmetic of the
-module's evaluation forward, in the same order, but with no tensor wrappers,
-no autograd bookkeeping, no dropout modules and no topology code on the hot
-path.  Logits are **bit-identical** to ``Trainer`` evaluation (pinned by
-``tests/test_serving.py`` under both precision policies); the only thing
-that changes is how fast they are produced.
-
-Two model families get dedicated plans (:class:`DHGNN
-<repro.models.DHGNN>` and :class:`DHGCN <repro.core.DHGCN>` — the dynamic
-models whose per-layer operators are expensive to rebuild); every other
-:class:`~repro.models.base.BaseNodeClassifier` falls back to a generic plan
-that runs the module under ``eval`` + ``no_grad`` (grad-free, but not
-module-free).
+:class:`FrozenModel` compiles a trained :class:`DHGNN <repro.models.DHGNN>`
+or :class:`DHGCN <repro.core.DHGCN>` into a *plan*: private copies of the
+model's trained layer modules plus the propagation operators it last
+resolved.  Serving a layer calls the model's own per-layer step
+(:meth:`DHGNN.layer <repro.models.DHGNN.layer>`, :meth:`DHGCN.layer
+<repro.core.DHGCN.layer>`) — the code the model's ``forward`` runs after
+dropout — so served logits equal ``Trainer`` evaluation by construction,
+under both precision policies.  The copies' parameters require no gradient
+and every input keeps its own dtype, so a served forward records no backward
+graph and enters neither ``no_grad()`` nor ``precision()``: it flips no
+process-wide switch, which matters because the server runs its writer in an
+executor thread.  Other architectures cannot be frozen.
 
 A compiled plan also carries the *topology slots* — per-layer hypergraphs
 split into their k-NN / cluster / static parts, each with the layer's own
@@ -30,24 +27,33 @@ post-deletion state: insert / delete / compact, checkpoint, and the
 restored process carries the compacted features, operators and k-NN index
 states.
 
-Bundles written before each slot carried its own index held one shared
-backend instead (a ``meta["backend"]`` key and ``backend_state*`` groups).
-Those are ignored, whatever backend they name: such a bundle loads with
-empty indices, answers exactly as before, and each layer's first refresh
-rebuilds its k-NN cold.
+A bundle stores each layer's parameters under fixed names
+(``layer{i}.weight|bias`` for DHGNN, ``block{i}.W_static|b_static|W_dynamic|
+b_dynamic|gate`` for DHGCN; see ``_WEIGHT_NAMES``); loading rebuilds the
+layer modules from their shapes.  Bundles written before each slot carried
+its own index held one shared backend instead (a ``meta["backend"]`` key and
+``backend_state*`` groups).  Those are ignored, whatever backend they name:
+such a bundle loads with empty indices, answers exactly as before, and each
+layer's first refresh rebuilds its k-NN cold.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Any
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.autograd.tensor import Tensor, no_grad
+from repro.core.layers import DualChannelBlock
+from repro.core.model import DHGCN
 from repro.errors import ConfigurationError
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.neighbors import IncrementalBackend
+from repro.models.dhgnn import DHGNN
+from repro.nn import Linear
+from repro.nn.module import Module
 from repro.precision import precision as precision_scope
 from repro.serving.store import OperatorStore, pack_hypergraph, unpack_hypergraph
 
@@ -155,50 +161,116 @@ class TopologySlot:
 
 
 # --------------------------------------------------------------------------- #
-# Plans
+# Plan
 # --------------------------------------------------------------------------- #
-class _DHGNNPlan:
-    """Compiled DHGNN: per-layer ``relu(op @ (h @ W + b))`` (no relu last)."""
+#: Per plan kind: bundle name of a layer weight -> the layer module's
+#: parameter name.  Layer ``i``'s arrays are stored as ``{prefix}{i}.{name}``.
+_WEIGHT_NAMES = {
+    "dhgnn": {"weight": "weight", "bias": "bias"},
+    "dhgcn": {
+        "W_static": "static_conv.linear.weight",
+        "b_static": "static_conv.linear.bias",
+        "W_dynamic": "dynamic_conv.linear.weight",
+        "b_dynamic": "dynamic_conv.linear.bias",
+        "gate": "gate",
+    },
+}
+_LAYER_PREFIX = {"dhgnn": "layer", "dhgcn": "block"}
+#: Operator-store key of layer ``i``'s operator: ``(name, i)``.
+_OPERATOR_KEY = {"dhgnn": "layer", "dhgcn": "dynamic"}
 
-    kind = "dhgnn"
+
+def _serving_layers(layers: list[Module], dtype: np.dtype) -> list[Module]:
+    """Cast ``layers`` to ``dtype`` in place and make their parameters grad-free."""
+    for layer in layers:
+        layer.to(dtype)
+        for parameter in layer.parameters():
+            parameter.requires_grad = False
+    return layers
+
+
+def _load_layer(kind: str, index: int, weights: dict[str, np.ndarray], meta: dict) -> Module:
+    """Rebuild layer ``index`` of a bundle from its stored weight arrays."""
+    prefix = f"{_LAYER_PREFIX[kind]}{index}."
+    state = {
+        parameter: weights[prefix + name]
+        for name, parameter in _WEIGHT_NAMES[kind].items()
+        if prefix + name in weights
+    }
+    if kind == "dhgnn":
+        layer: Module = Linear(*state["weight"].shape, bias="bias" in state, seed=0)
+    else:
+        shape = next(value.shape for name, value in state.items() if name.endswith("weight"))
+        layer = DualChannelBlock(*shape, fusion=meta["fusions"][index], seed=0)
+    layer.to(meta["precision"])
+    layer.load_state_dict(state)
+    return layer
+
+
+class _Plan:
+    """A compiled DHGNN or DHGCN (``kind``).
+
+    ``layers`` are the plan's own copies of the trained layer modules
+    (``Linear`` for DHGNN, ``DualChannelBlock`` for DHGCN) and ``operators``
+    each layer's resolved propagation operator — DHGCN's dynamic channel,
+    ``None`` where a layer has none.  ``slots`` hold the dynamic topology.
+    DHGCN's static channel adds ``static_operator`` and the static
+    hypergraph the session pads, masks and (with edge weighting) reweights;
+    DHGNN plans leave those ``None``.
+    """
 
     def __init__(
         self,
-        weights: list[tuple[np.ndarray, np.ndarray | None]],
-        operators: list[sp.csr_matrix],
+        kind: str,
+        layers: list[Module],
+        operators: list[sp.csr_matrix | None],
         slots: list[TopologySlot],
+        *,
+        static_operator: sp.csr_matrix | None = None,
+        static_hypergraph: Hypergraph | None = None,
+        reweighted_static: Hypergraph | None = None,
+        use_edge_weighting: bool = False,
+        weight_temperature: float = 1.0,
     ) -> None:
-        self.weights = weights
+        self.kind = kind
+        self.layers = layers
         self.operators = list(operators)
         self.slots = slots
+        self.static_operator = static_operator
+        self.static_hypergraph = static_hypergraph
+        self.reweighted_static = reweighted_static
+        self.use_edge_weighting = bool(use_edge_weighting)
+        self.weight_temperature = float(weight_temperature)
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.layers)
 
-    def clone(self) -> "_DHGNNPlan":
-        """Copy with independent mutable state (weights/operators shared)."""
-        return _DHGNNPlan(
-            self.weights, list(self.operators), [slot.clone() for slot in self.slots]
-        )
+    def clone(self) -> "_Plan":
+        """Copy with its own operator list and slots (read-only parts shared)."""
+        twin = copy.copy(self)
+        twin.operators = list(self.operators)
+        twin.slots = [slot.clone() for slot in self.slots]
+        return twin
 
     def set_operator(self, position: int, operator: sp.csr_matrix) -> None:
         self.operators[position] = operator
 
     def apply_layer(self, position: int, hidden: np.ndarray) -> np.ndarray:
-        weight, bias = self.weights[position]
-        out = hidden @ weight
-        if bias is not None:
-            out = out + bias
-        result = self.operators[position] @ out
-        if sp.issparse(result):  # pragma: no cover - operators are CSR
-            result = result.toarray()
-        result = np.asarray(result, dtype=hidden.dtype)
-        if position < self.n_layers - 1:
-            # relu exactly as the autograd op computes it: ``a * (a > 0)``
-            # (keeps the same signed zeros, hence bit-identical activations).
-            result = result * (result > 0)
-        return result
+        """Layer ``position`` of the model's forward (no dropout), in ``hidden``'s dtype."""
+        inputs = Tensor(hidden, dtype=hidden.dtype)
+        last = position == self.n_layers - 1
+        if self.kind == "dhgnn":
+            out = DHGNN.layer(self.layers[position], inputs, self.operators[position], last=last)
+        else:
+            out = DHGCN.layer(
+                self.layers[position],
+                inputs,
+                self.static_operator,
+                self.operators[position],
+                last=last,
+            )
+        return out.data
 
     def run(self, features: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         """Forward pass returning every layer's input plus the logits."""
@@ -208,131 +280,6 @@ class _DHGNNPlan:
             layer_inputs.append(hidden)
             hidden = self.apply_layer(position, hidden)
         return layer_inputs, hidden
-
-
-class _DHGCNPlan:
-    """Compiled DHGCN: dual-channel blocks with gated fusion."""
-
-    kind = "dhgcn"
-
-    def __init__(
-        self,
-        blocks: list[dict[str, Any]],
-        static_operator: sp.csr_matrix | None,
-        dynamic_operators: list[sp.csr_matrix | None],
-        slots: list[TopologySlot],
-        *,
-        static_hypergraph: Hypergraph | None,
-        reweighted_static: Hypergraph | None,
-        use_edge_weighting: bool,
-        weight_temperature: float,
-    ) -> None:
-        self.blocks = blocks
-        self.static_operator = static_operator
-        self.dynamic_operators = list(dynamic_operators)
-        self.slots = slots
-        self.static_hypergraph = static_hypergraph
-        self.reweighted_static = reweighted_static
-        self.use_edge_weighting = bool(use_edge_weighting)
-        self.weight_temperature = float(weight_temperature)
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.blocks)
-
-    def clone(self) -> "_DHGCNPlan":
-        """Copy with independent mutable state (weights/operators shared)."""
-        return _DHGCNPlan(
-            self.blocks,
-            self.static_operator,
-            list(self.dynamic_operators),
-            [slot.clone() for slot in self.slots],
-            static_hypergraph=self.static_hypergraph,
-            reweighted_static=self.reweighted_static,
-            use_edge_weighting=self.use_edge_weighting,
-            weight_temperature=self.weight_temperature,
-        )
-
-    def set_operator(self, position: int, operator: sp.csr_matrix) -> None:
-        self.dynamic_operators[position] = operator
-
-    def _conv(
-        self,
-        operator: sp.csr_matrix,
-        hidden: np.ndarray,
-        weight: np.ndarray,
-        bias: np.ndarray | None,
-    ) -> np.ndarray:
-        out = hidden @ weight
-        if bias is not None:
-            out = out + bias
-        result = operator @ out
-        if sp.issparse(result):  # pragma: no cover - operators are CSR
-            result = result.toarray()
-        return np.asarray(result, dtype=hidden.dtype)
-
-    def apply_layer(self, position: int, hidden: np.ndarray) -> np.ndarray:
-        block = self.blocks[position]
-        fusion = block["fusion"]
-        if fusion == "static_only":
-            out = self._conv(self.static_operator, hidden, block["W_static"], block["b_static"])
-        elif fusion == "dynamic_only":
-            out = self._conv(
-                self.dynamic_operators[position], hidden, block["W_dynamic"], block["b_dynamic"]
-            )
-        else:
-            static_out = self._conv(
-                self.static_operator, hidden, block["W_static"], block["b_static"]
-            )
-            dynamic_out = self._conv(
-                self.dynamic_operators[position], hidden, block["W_dynamic"], block["b_dynamic"]
-            )
-            if fusion == "sum":
-                out = static_out * 0.5 + dynamic_out * 0.5
-            else:
-                gate = 1.0 / (1.0 + np.exp(-block["gate"]))
-                out = static_out * gate + dynamic_out * (1.0 - gate)
-        if position < self.n_layers - 1:
-            out = out * (out > 0)
-        return out
-
-    def run(self, features: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        hidden = features
-        layer_inputs = []
-        for position in range(self.n_layers):
-            layer_inputs.append(hidden)
-            hidden = self.apply_layer(position, hidden)
-        return layer_inputs, hidden
-
-
-class _ModulePlan:
-    """Fallback plan: run the module itself under ``eval`` + ``no_grad``.
-
-    Grad-free (no backward graph is recorded) but not module-free; supports
-    logits only — embeddings and scoped topology refresh need one of the
-    dedicated plans.
-    """
-
-    kind = "module"
-
-    def __init__(self, model: Any, precision_name: str) -> None:
-        self.model = model
-        self.precision_name = precision_name
-        self.slots: list[TopologySlot] = []
-
-    def clone(self) -> "_ModulePlan":
-        """Module plans hold no session-mutable state; sharing is safe."""
-        return self
-
-    @property
-    def n_layers(self) -> int:
-        return 1
-
-    def run(self, features: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        self.model.eval()
-        with precision_scope(self.precision_name), no_grad():
-            logits = self.model(Tensor(features)).data
-        return [features], logits
 
 
 # --------------------------------------------------------------------------- #
@@ -350,7 +297,7 @@ class FrozenModel:
 
     def __init__(
         self,
-        plan: Any,
+        plan: _Plan,
         features: np.ndarray,
         precision_name: str,
         *,
@@ -367,37 +314,31 @@ class FrozenModel:
     # ------------------------------------------------------------------ #
     @classmethod
     def compile(cls, model: Any, features: np.ndarray, *, precision: str | None = None) -> "FrozenModel":
-        """Compile a set-up (typically trained) model against ``features``.
+        """Compile a set-up (typically trained) DHGNN or DHGCN against ``features``.
 
         ``precision`` defaults to the dtype the model's parameters are in —
         i.e. whatever policy it was trained under.  If the model has never
         run a forward pass its operators are materialised with one
         evaluation forward first (so compiling straight after ``setup()``
-        works too).  A model with no parameters (or an unsupported
-        architecture) raises :class:`~repro.errors.ConfigurationError`.
+        works too).  The plan deep-copies the trained layers, so training
+        the model further never changes the frozen model's answers.  Any
+        other architecture raises :class:`~repro.errors.ConfigurationError`.
         """
-        from repro.core.model import DHGCN
-        from repro.models.dhgnn import DHGNN
-
-        parameters = model.parameters()
-        if not parameters:
-            raise ConfigurationError("cannot freeze a model with no parameters")
+        if isinstance(model, DHGNN):
+            compile_plan = cls._compile_dhgnn
+        elif isinstance(model, DHGCN):
+            compile_plan = cls._compile_dhgcn
+        else:
+            raise ConfigurationError(
+                f"only DHGNN and DHGCN models can be frozen, got {type(model).__name__}"
+            )
+        model.require_setup()
         if precision is None:
-            precision = parameters[0].data.dtype.name
+            precision = model.parameters()[0].data.dtype.name
         dtype = np.dtype(precision)
         features = np.asarray(features).astype(dtype, copy=False)
-
-        if isinstance(model, DHGNN):
-            plan = cls._compile_dhgnn(model, features, precision)
-        elif isinstance(model, DHGCN):
-            plan = cls._compile_dhgcn(model, features, precision)
-        else:
-            if not getattr(model, "_is_setup", True):
-                raise ConfigurationError("model must be set up before freezing")
-            model.eval()
-            plan = _ModulePlan(model, precision)
-
-        meta = {"model_name": getattr(model, "name", type(model).__name__)}
+        plan = compile_plan(model, features, precision)
+        meta = {"model_name": model.name}
         return cls(plan, features, precision, meta=meta)
 
     @staticmethod
@@ -408,19 +349,11 @@ class FrozenModel:
             model(Tensor(features))
 
     @classmethod
-    def _compile_dhgnn(cls, model: Any, features: np.ndarray, precision: str) -> _DHGNNPlan:
-        model.require_setup()
+    def _compile_dhgnn(cls, model: DHGNN, features: np.ndarray, precision: str) -> _Plan:
         state = model.export_dynamic_state()
         if any(op is None for op in state["operators"]):
             cls._materialise(model, features, precision)
             state = model.export_dynamic_state()
-        weights = [
-            (
-                layer.weight.data.copy(),
-                None if layer.bias is None else layer.bias.data.copy(),
-            )
-            for layer in model.layers
-        ]
         slots = [
             TopologySlot.from_pooled(
                 position,
@@ -437,33 +370,16 @@ class FrozenModel:
                 zip(state["layer_hypergraphs"], state["indices"])
             )
         ]
-        return _DHGNNPlan(weights, state["operators"], slots)
+        layers = _serving_layers(copy.deepcopy(list(model.layers)), np.dtype(precision))
+        return _Plan("dhgnn", layers, state["operators"], slots)
 
     @classmethod
-    def _compile_dhgcn(cls, model: Any, features: np.ndarray, precision: str) -> _DHGCNPlan:
-        model.require_setup()
+    def _compile_dhgcn(cls, model: DHGCN, features: np.ndarray, precision: str) -> _Plan:
         config = model.config
         state = model.export_dynamic_state()
         if config.use_dynamic and any(op is None for op in state["dynamic_operators"]):
             cls._materialise(model, features, precision)
             state = model.export_dynamic_state()
-        blocks = []
-        for block in model.blocks:
-            entry: dict[str, Any] = {"fusion": block.fusion}
-            if block.static_conv is not None:
-                entry["W_static"] = block.static_conv.linear.weight.data.copy()
-                bias = block.static_conv.linear.bias
-                entry["b_static"] = None if bias is None else bias.data.copy()
-            else:
-                entry["W_static"] = entry["b_static"] = None
-            if block.dynamic_conv is not None:
-                entry["W_dynamic"] = block.dynamic_conv.linear.weight.data.copy()
-                bias = block.dynamic_conv.linear.bias
-                entry["b_dynamic"] = None if bias is None else bias.data.copy()
-            else:
-                entry["W_dynamic"] = entry["b_dynamic"] = None
-            entry["gate"] = None if block.gate is None else block.gate.data.copy()
-            blocks.append(entry)
         slots = []
         if config.use_dynamic:
             for position in range(config.n_layers):
@@ -483,11 +399,13 @@ class FrozenModel:
                         index=state["indices"][position],
                     )
                 )
-        return _DHGCNPlan(
-            blocks,
-            state["static_operator"],
+        layers = _serving_layers(copy.deepcopy(list(model.blocks)), np.dtype(precision))
+        return _Plan(
+            "dhgcn",
+            layers,
             state["dynamic_operators"],
             slots,
+            static_operator=state["static_operator"],
             static_hypergraph=state["static_hypergraph"],
             reweighted_static=state["reweighted_static"],
             use_edge_weighting=config.use_edge_weighting,
@@ -499,12 +417,7 @@ class FrozenModel:
     # ------------------------------------------------------------------ #
     def forward(self, features: np.ndarray | None = None) -> np.ndarray:
         """Full-batch logits (``features`` defaults to the frozen matrix)."""
-        if features is None:
-            features = self.features
-        else:
-            features = np.asarray(features).astype(self.dtype, copy=False)
-        _, logits = self.plan.run(features)
-        return logits
+        return self.run(features)[1]
 
     def run(self, features: np.ndarray | None = None) -> tuple[list[np.ndarray], np.ndarray]:
         """Layer inputs + logits (the session's refresh pipeline hook)."""
@@ -542,18 +455,8 @@ class FrozenModel:
         return len(slots)
 
     def embeddings(self) -> np.ndarray:
-        """Input representation of the final layer (the node embedding).
-
-        Raises :class:`~repro.errors.ConfigurationError` for generic module
-        plans, which only expose logits.
-        """
-        layer_inputs, _ = self.run()
-        if isinstance(self.plan, _ModulePlan):
-            raise ConfigurationError(
-                "embeddings need a compiled DHGNN/DHGCN plan; the generic module "
-                "plan only exposes logits"
-            )
-        return layer_inputs[-1]
+        """Input representation of the final layer (the node embedding)."""
+        return self.run()[0][-1]
 
     # ------------------------------------------------------------------ #
     # Persistence
@@ -565,8 +468,6 @@ class FrozenModel:
         operators and, per slot, the topology parts and the k-NN index state
         — a loading process serves its first prediction with zero k-NN
         distance computations and can keep inserting nodes incrementally.
-        Only the dedicated DHGNN/DHGCN plans are bundleable — a generic
-        module plan raises :class:`~repro.errors.ConfigurationError`.
         """
         store = OperatorStore()
         plan = self.plan
@@ -575,48 +476,34 @@ class FrozenModel:
             "plan": plan.kind,
             "precision": self.precision_name,
             "model_meta": self.meta,
+            "n_layers": plan.n_layers,
         }
-        store.put_group("features", {"features": self.features})
-
-        if isinstance(plan, _DHGNNPlan):
-            meta["n_layers"] = plan.n_layers
-            weight_group: dict[str, np.ndarray] = {}
-            for index, (weight, bias) in enumerate(plan.weights):
-                weight_group[f"layer{index}.weight"] = weight
-                if bias is not None:
-                    weight_group[f"layer{index}.bias"] = bias
-            store.put_group("weights", weight_group)
-            for index, operator in enumerate(plan.operators):
-                store.put_operator(("layer", index), operator)
-        elif isinstance(plan, _DHGCNPlan):
-            meta["n_layers"] = plan.n_layers
-            meta["fusions"] = [block["fusion"] for block in plan.blocks]
+        if plan.kind == "dhgcn":
+            meta["fusions"] = [block.fusion for block in plan.layers]
             meta["use_edge_weighting"] = plan.use_edge_weighting
             meta["weight_temperature"] = plan.weight_temperature
-            weight_group = {}
-            for index, block in enumerate(plan.blocks):
-                for field in ("W_static", "b_static", "W_dynamic", "b_dynamic", "gate"):
-                    if block[field] is not None:
-                        weight_group[f"block{index}.{field}"] = block[field]
-            store.put_group("weights", weight_group)
-            if plan.static_operator is not None:
-                store.put_operator(("static",), plan.static_operator)
-            for index, operator in enumerate(plan.dynamic_operators):
-                if operator is not None:
-                    store.put_operator(("dynamic", index), operator)
-            static_group: dict[str, np.ndarray] = {}
-            if plan.static_hypergraph is not None:
-                static_group.update(pack_hypergraph(plan.static_hypergraph, prefix="static."))
-            if plan.reweighted_static is not None:
-                static_group.update(
-                    pack_hypergraph(plan.reweighted_static, prefix="reweighted.")
-                )
-            if static_group:
-                store.put_group("static_hypergraphs", static_group)
-        else:
-            raise ConfigurationError(
-                f"only DHGNN/DHGCN plans can be bundled, got {plan.kind!r}"
-            )
+        store.put_group("features", {"features": self.features})
+
+        prefix = _LAYER_PREFIX[plan.kind]
+        weight_group: dict[str, np.ndarray] = {}
+        for index, layer in enumerate(plan.layers):
+            parameters = dict(layer.named_parameters())
+            for name, parameter in _WEIGHT_NAMES[plan.kind].items():
+                if parameter in parameters:
+                    weight_group[f"{prefix}{index}.{name}"] = parameters[parameter].data
+        store.put_group("weights", weight_group)
+        if plan.static_operator is not None:
+            store.put_operator(("static",), plan.static_operator)
+        for index, operator in enumerate(plan.operators):
+            if operator is not None:
+                store.put_operator((_OPERATOR_KEY[plan.kind], index), operator)
+        static_group: dict[str, np.ndarray] = {}
+        if plan.static_hypergraph is not None:
+            static_group.update(pack_hypergraph(plan.static_hypergraph, prefix="static."))
+        if plan.reweighted_static is not None:
+            static_group.update(pack_hypergraph(plan.reweighted_static, prefix="reweighted."))
+        if static_group:
+            store.put_group("static_hypergraphs", static_group)
 
         slot_meta = []
         for slot in plan.slots:
@@ -653,14 +540,17 @@ class FrozenModel:
     def load(cls, path: str | Any) -> "FrozenModel":
         """Reconstruct a frozen model from a bundle written by :meth:`save`.
 
-        A file that is not a serving bundle raises
-        :class:`~repro.errors.ConfigurationError`.  An older bundle's
-        shared-backend state (see the module docs) is ignored.
+        A file that is not a serving bundle, or one whose plan kind is
+        unknown, raises :class:`~repro.errors.ConfigurationError`.  An older
+        bundle's shared-backend state (see the module docs) is ignored.
         """
         store = OperatorStore.load(path)
         meta = store.meta
         if meta.get("format") != _SERVING_FORMAT:
             raise ConfigurationError(f"{path} is not a serving bundle")
+        kind = meta["plan"]
+        if kind not in _WEIGHT_NAMES:
+            raise ConfigurationError(f"unknown plan kind {kind!r}")
         precision = meta["precision"]
         features = store.get_group("features")["features"]
 
@@ -698,63 +588,33 @@ class FrozenModel:
                 )
             )
 
-        if meta["plan"] == "dhgnn":
-            weight_group = store.get_group("weights")
-            weights = []
-            for index in range(int(meta["n_layers"])):
-                weights.append(
-                    (
-                        weight_group[f"layer{index}.weight"],
-                        weight_group.get(f"layer{index}.bias"),
-                    )
-                )
-            operators = [
-                store.get_operator(("layer", index)) for index in range(int(meta["n_layers"]))
-            ]
-            plan: Any = _DHGNNPlan(weights, operators, slots)
-        elif meta["plan"] == "dhgcn":
-            weight_group = store.get_group("weights")
-            blocks = []
-            for index, fusion in enumerate(meta["fusions"]):
-                blocks.append(
-                    {
-                        "fusion": fusion,
-                        "W_static": weight_group.get(f"block{index}.W_static"),
-                        "b_static": weight_group.get(f"block{index}.b_static"),
-                        "W_dynamic": weight_group.get(f"block{index}.W_dynamic"),
-                        "b_dynamic": weight_group.get(f"block{index}.b_dynamic"),
-                        "gate": weight_group.get(f"block{index}.gate"),
-                    }
-                )
-            static_operator = (
+        n_layers = int(meta["n_layers"])
+        weights = store.get_group("weights")
+        layers = [_load_layer(kind, index, weights, meta) for index in range(n_layers)]
+        operators = [
+            store.get_operator(key) if store.has_operator(key) else None
+            for key in ((_OPERATOR_KEY[kind], index) for index in range(n_layers))
+        ]
+        static_hypergraph = reweighted_static = None
+        if store.has_group("static_hypergraphs"):
+            static_group = store.get_group("static_hypergraphs")
+            if any(key.startswith("static.") for key in static_group):
+                static_hypergraph = unpack_hypergraph(static_group, prefix="static.")
+            if any(key.startswith("reweighted.") for key in static_group):
+                reweighted_static = unpack_hypergraph(static_group, prefix="reweighted.")
+        plan = _Plan(
+            kind,
+            _serving_layers(layers, np.dtype(precision)),
+            operators,
+            slots,
+            static_operator=(
                 store.get_operator(("static",)) if store.has_operator(("static",)) else None
-            )
-            dynamic_operators = [
-                store.get_operator(("dynamic", index))
-                if store.has_operator(("dynamic", index))
-                else None
-                for index in range(int(meta["n_layers"]))
-            ]
-            static_hypergraph = reweighted_static = None
-            if store.has_group("static_hypergraphs"):
-                static_group = store.get_group("static_hypergraphs")
-                if any(key.startswith("static.") for key in static_group):
-                    static_hypergraph = unpack_hypergraph(static_group, prefix="static.")
-                if any(key.startswith("reweighted.") for key in static_group):
-                    reweighted_static = unpack_hypergraph(static_group, prefix="reweighted.")
-            plan = _DHGCNPlan(
-                blocks,
-                static_operator,
-                dynamic_operators,
-                slots,
-                static_hypergraph=static_hypergraph,
-                reweighted_static=reweighted_static,
-                use_edge_weighting=bool(meta["use_edge_weighting"]),
-                weight_temperature=float(meta["weight_temperature"]),
-            )
-        else:
-            raise ConfigurationError(f"unknown plan kind {meta['plan']!r}")
-
+            ),
+            static_hypergraph=static_hypergraph,
+            reweighted_static=reweighted_static,
+            use_edge_weighting=bool(meta.get("use_edge_weighting", False)),
+            weight_temperature=float(meta.get("weight_temperature", 1.0)),
+        )
         return cls(plan, features, precision, meta=dict(meta.get("model_meta", {})))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -357,7 +357,7 @@ class SessionPool:
     def publish(self) -> Generation:
         """Refresh the writer once and swap in its frozen generation.
 
-        The writer's (single) scoped refresh + forward happens here and is
+        The writer's (single) refresh + forward happens here and is
         frozen into a read-only :class:`~repro.serving.Generation`; the swap
         itself is one assignment under the pool lock.  When a checkpoint
         path is configured and the writer carries no tombstones, the

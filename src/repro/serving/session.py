@@ -15,8 +15,7 @@ evolves — the **full node lifecycle**:
 * **node insertion** — new nodes flow through each layer's
   :meth:`~repro.hypergraph.neighbors.IncrementalBackend.insert` (an O(m·n)
   grow-and-repair, not an O(n²) rebuild), join their nearest cluster
-  hyperedge by centroid, and the static hypergraph is padded — a *scoped*
-  topology refresh;
+  hyperedge by centroid, and the static hypergraph is padded;
 * **node deletion** — :meth:`delete_nodes` *tombstones* nodes lazily: at the
   next refresh they are excluded from every hyperedge (k-NN rows come from
   each index's ``delete``, an O(r·n) shrink-and-repair; cluster and
@@ -25,7 +24,7 @@ evolves — the **full node lifecycle**:
   the dense feature matrix keeps its size;
 * **compaction** — :meth:`compact` makes deletion physical: it rebuilds the
   dense feature matrix without the tombstoned rows, shrinks the static /
-  cluster hyperedges into the compact id space, cascades a scoped per-layer
+  cluster hyperedges into the compact id space, cascades a per-layer
   refresh over the surviving nodes and returns the old→new id remap;
 * **cluster re-assignment** — :meth:`reassign_clusters` bounds the
   frozen-membership staleness: one k-means *assignment* step (nearest
@@ -35,7 +34,12 @@ evolves — the **full node lifecycle**:
 
 The refresh pipeline is cascading: layer ``p``'s topology is rebuilt from the
 embedding the current pass produces at depth ``p`` (training instead reuses
-the previous epoch's embeddings).  Each layer's refreshed neighbour lists
+the previous epoch's embeddings).  Only layer 0's k-NN repair is scoped to
+the mutation, because its input rows are the features themselves.  Every
+deeper layer's input is the previous layer's output, and the cluster
+hyperedges couple every row, so any insert, update or delete moves all of
+its rows bitwise and that layer's index rebuilds its k-NN in full (under
+either ``cluster_assignment`` policy).  Each layer's refreshed neighbour lists
 are bit-identical (float64) to a cold rebuild of the same pipeline —
 including after deletions and compactions; ``tests/test_session_histories.py``
 checks this on generated operation histories.  Every refresh builds each
@@ -64,12 +68,12 @@ from repro.hypergraph.laplacian import (
 )
 from repro.obs.tracing import span
 from repro.serving.faults import declare_fault_point, fault_point
-from repro.serving.frozen import FrozenModel, TopologySlot, _DHGCNPlan, _ModulePlan
+from repro.serving.frozen import FrozenModel, TopologySlot
 
 _OUTPUTS = ("labels", "logits", "embeddings")
 
 declare_fault_point("session.mid_mutation", "feature state mutated, topology stale")
-declare_fault_point("session.before_refresh", "start of the scoped refresh cascade")
+declare_fault_point("session.before_refresh", "start of the refresh cascade")
 
 
 def _node_index(nodes: Any, context: str) -> np.ndarray:
@@ -97,21 +101,42 @@ def _node_index(nodes: Any, context: str) -> np.ndarray:
     return index.astype(np.int64, copy=False)
 
 
+def _feature_rows(values: Any, dtype: np.dtype) -> np.ndarray:
+    """``values`` as a 2-D matrix in the serving ``dtype``.
+
+    A value too large for ``dtype`` becomes ±inf, which
+    :func:`_require_finite` then refuses.
+    """
+    with np.errstate(over="ignore"):
+        return np.atleast_2d(np.asarray(values)).astype(dtype, copy=False)
+
+
+def _require_finite(values: np.ndarray, rows: np.ndarray, context: str) -> None:
+    """Reject NaN and ±inf feature values, naming the offending rows.
+
+    One non-finite value poisons every distance of its k-NN row and breaks
+    the next refresh for good, so it is refused before anything is mutated.
+    """
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise ConfigurationError(
+            f"{context} got non-finite feature values (NaN or ±inf) in rows "
+            f"{rows[bad].tolist()}"
+        )
+
+
 def _resolve_request(
-    nodes: Any, output: str, alive: np.ndarray, has_embeddings: bool
+    nodes: Any, output: str, alive: np.ndarray
 ) -> tuple[np.ndarray | None, str, bool]:
     """Validate one query against a node set without computing anything.
 
     Returns ``(index, output, scalar)`` where ``index`` is ``None`` for a
     whole-set query and ``scalar`` says whether to unwrap a single row.
-    Raises :class:`~repro.errors.ConfigurationError` for an unknown output,
-    embeddings of a generic module plan, and non-integer, out-of-range or
-    deleted node ids.
+    Raises :class:`~repro.errors.ConfigurationError` for an unknown output
+    and for non-integer, out-of-range or deleted node ids.
     """
     if output not in _OUTPUTS:
         raise ConfigurationError(f"output must be one of {_OUTPUTS}, got {output!r}")
-    if output == "embeddings" and not has_embeddings:
-        raise ConfigurationError("embeddings need a compiled DHGNN/DHGCN plan")
     if nodes is None:
         return None, output, False
     index = _node_index(nodes, "predict")
@@ -133,12 +158,11 @@ class Generation:
     """One published serving state, immutable: every read is a slice of it.
 
     :meth:`capture` copies what a forward produced — logits, the final
-    layer's input embeddings (``None`` for a generic module plan) and the
-    alive mask — and computes the argmax labels once.  The arrays are
-    private and read-only, and the generation holds no reference to the
-    session that produced it, so nothing the writer does afterwards
-    (overwriting features in place, tombstoning, inserting, compacting) can
-    change an answer.  A reader that holds a generation needs no lock:
+    layer's input embeddings and the alive mask — and computes the argmax
+    labels once.  The arrays are private and read-only, and the generation
+    holds no reference to the session that produced it, so nothing the
+    writer does afterwards (overwriting features in place, tombstoning,
+    inserting, compacting) can change an answer.  A reader that holds a generation needs no lock:
     publishing a new one is a pointer swap (read-copy-update).
     """
 
@@ -147,7 +171,7 @@ class Generation:
     id: int
     labels: np.ndarray
     logits: np.ndarray
-    embeddings: np.ndarray | None
+    embeddings: np.ndarray
     alive: np.ndarray
 
     @classmethod
@@ -155,7 +179,7 @@ class Generation:
         cls,
         id: int,
         logits: np.ndarray,
-        embeddings: np.ndarray | None,
+        embeddings: np.ndarray,
         alive: np.ndarray,
     ) -> "Generation":
         """Freeze private read-only copies of one forward's outputs."""
@@ -163,7 +187,7 @@ class Generation:
             int(id),
             _read_only(np.argmax(logits, axis=1)),
             _read_only(np.array(logits)),
-            None if embeddings is None else _read_only(np.array(embeddings)),
+            _read_only(np.array(embeddings)),
             _read_only(np.array(alive, dtype=bool)),
         )
 
@@ -176,9 +200,7 @@ class Generation:
         Raises :class:`~repro.errors.ConfigurationError` for an unknown
         output and for non-integer, out-of-range or deleted node ids.
         """
-        index, output, scalar = _resolve_request(
-            nodes, output, self.alive, self.embeddings is not None
-        )
+        index, output, scalar = _resolve_request(nodes, output, self.alive)
         if output == "labels":
             full = self.labels
         elif output == "logits":
@@ -206,16 +228,16 @@ class InferenceSession:
     cluster_assignment:
         What inserted nodes do about the k-means cluster hyperedges:
         ``"nearest"`` (default) joins the hyperedge with the nearest centroid
-        in the current embedding — richer global topology, but growing a
-        hyperedge changes its degree normalisation and therefore every
-        member's next-layer embedding, so large clusters can push deeper
-        layers past the index's churn threshold; ``"frozen"`` leaves the
-        cluster hyperedges untouched (new nodes connect through their k-NN
-        hyperedges only), which keeps the refresh cascade proportional to
-        the insertion size.  Both policies are deterministic and independent
-        of the k-NN index's state, so a session and a cold rebuild agree
-        under either.  :meth:`reassign_clusters` additionally re-assigns
-        *existing* members (either policy) to bound membership staleness.
+        in the current embedding; ``"frozen"`` leaves the cluster hyperedges
+        untouched, so new nodes connect through their k-NN hyperedges only.
+        Neither keeps the refresh cascade in scope: the cluster hyperedges
+        couple every row, so an insertion moves every row of the deeper
+        layers' embeddings and layers ≥ 1 rebuild their k-NN in full under
+        both policies; only layer 0 repairs in scope.  Both policies are
+        deterministic and independent of the k-NN index's state, so a
+        session and a cold rebuild agree under either.
+        :meth:`reassign_clusters` additionally re-assigns *existing* members
+        (either policy) to bound membership staleness.
     """
 
     CLUSTER_POLICIES = ("nearest", "frozen")
@@ -313,24 +335,19 @@ class InferenceSession:
         through mutations, never through the refresh itself — so a bad
         request never pays for a pending refresh.
         """
-        _resolve_request(
-            nodes, output, ~self._deleted, not isinstance(self.plan, _ModulePlan)
-        )
+        _resolve_request(nodes, output, ~self._deleted)
 
     def generation(self) -> Generation:
         """The immutable :class:`Generation` of the current state.
 
-        Runs the pending scoped refresh (or plain forward) first, then
+        Runs the pending refresh (or plain forward) first, then
         freezes it once; until the next mutation every call returns the same
         object.  :class:`~repro.serving.SessionPool` publishes exactly this.
         """
         self._ensure_fresh()
         if self._generation is None:
-            embeddings = (
-                None if isinstance(self.plan, _ModulePlan) else self._layer_inputs[-1]
-            )
             self._generation = Generation.capture(
-                self.forwards, self._logits, embeddings, ~self._deleted
+                self.forwards, self._logits, self._layer_inputs[-1], ~self._deleted
             )
         return self._generation
 
@@ -419,11 +436,12 @@ class InferenceSession:
         """Overwrite the features of existing nodes (marks them as movers).
 
         An empty ``node_ids`` is a no-op (in particular it does not mark the
-        topology stale).  Duplicate ids and tombstoned targets raise
-        :class:`~repro.errors.ConfigurationError`.
+        topology stale).  Duplicate ids, tombstoned targets and non-finite
+        values raise :class:`~repro.errors.ConfigurationError` before
+        anything changes.
         """
         index = _node_index(node_ids, "update_features")
-        values = np.atleast_2d(np.asarray(values)).astype(self.frozen.dtype, copy=False)
+        values = _feature_rows(values, self.frozen.dtype)
         if index.size == 0 and values.size == 0:
             return
         if index.size:
@@ -433,6 +451,7 @@ class InferenceSession:
                 f"values must have shape {(index.size, self._features.shape[1])}, "
                 f"got {values.shape}"
             )
+        _require_finite(values, index, "update_features")
         self._features[index] = values
         self._moved[index] = True
         fault_point("session.mid_mutation")
@@ -442,20 +461,15 @@ class InferenceSession:
         """Append new nodes; returns their ids.
 
         The nodes become visible to :meth:`predict` after the next (lazy)
-        scoped refresh: their k-NN hyperedges come from each layer index's
+        refresh: their k-NN hyperedges come from each layer index's
         ``insert``, they join the nearest cluster
         hyperedge by centroid, and the static hypergraph is padded (new nodes
         are isolated there, receiving operator self-loops).  An empty matrix
         is a no-op.  Raises :class:`~repro.errors.ConfigurationError` for a
-        generic module plan or a feature-dimension mismatch.
+        feature-dimension mismatch or non-finite values (rows numbered
+        within ``new_features``), before anything changes.
         """
-        if isinstance(self.plan, _ModulePlan):
-            raise ConfigurationError(
-                "online insertion needs a compiled DHGNN/DHGCN plan"
-            )
-        new_features = np.atleast_2d(np.asarray(new_features)).astype(
-            self.frozen.dtype, copy=False
-        )
+        new_features = _feature_rows(new_features, self.frozen.dtype)
         if new_features.size == 0:
             return np.empty(0, dtype=np.int64)
         if new_features.shape[1] != self._features.shape[1]:
@@ -463,6 +477,7 @@ class InferenceSession:
                 f"new features must have {self._features.shape[1]} columns, "
                 f"got {new_features.shape[1]}"
             )
+        _require_finite(new_features, np.arange(new_features.shape[0]), "insert_nodes")
         first = self.n_nodes
         self._features = np.vstack([self._features, new_features])
         self._moved = np.concatenate(
@@ -494,10 +509,6 @@ class InferenceSession:
         :class:`~repro.errors.ConfigurationError`, as does deleting so many
         nodes that fewer than two would survive.
         """
-        if isinstance(self.plan, _ModulePlan):
-            raise ConfigurationError(
-                "online deletion needs a compiled DHGNN/DHGCN plan"
-            )
         index = _node_index(node_ids, "delete_nodes")
         if index.size == 0:
             return
@@ -516,25 +527,20 @@ class InferenceSession:
     def compact(self) -> np.ndarray:
         """Make deletions physical; returns the old→new id remap.
 
-        Raises :class:`~repro.errors.ConfigurationError` for a generic
-        module plan (the lifecycle needs a compiled DHGNN/DHGCN plan).
-
         Flushes any pending mutations through the normal (tombstone-aware)
         refresh, then rebuilds the dense feature matrix without the deleted
         rows, shrinks the operators, the static and the cluster hyperedges
-        into the compact id space and cascades a scoped per-layer refresh
-        over the surviving nodes.  The layer-0 index re-queries nothing;
-        deeper-layer indices re-pay distance work only where the
-        shrunken-matrix forward reproduces their embeddings to rounding
-        rather than bitwise (dense BLAS blocks by matrix size) — every
-        bit-level difference counts as a mover, so deep layers can rebuild.
+        into the compact id space and cascades a per-layer refresh over the
+        surviving nodes.  The layer-0 index re-queries nothing; the
+        shrunken-matrix forward reproduces the deeper embeddings only to
+        rounding, not bitwise (dense BLAS blocks by matrix size), and every
+        bit-level difference counts as a mover, so layers ≥ 1 rebuild their
+        k-NN in full.
 
         Returns an ``int64`` array of length *old* ``n_nodes`` mapping every
         old id to its new id (``-1`` for deleted rows) — the identity when
         nothing was tombstoned, in which case the call is a no-op.
         """
-        if isinstance(self.plan, _ModulePlan):
-            raise ConfigurationError("compaction needs a compiled DHGNN/DHGCN plan")
         self._ensure_fresh()
         n_old = self.n_nodes
         alive = np.flatnonzero(~self._deleted)
@@ -550,14 +556,12 @@ class InferenceSession:
             # operator built over the compacted hypergraph.
             return None if operator is None else operator[alive][:, alive].tocsr()
 
-        if isinstance(plan, _DHGCNPlan):
-            plan.dynamic_operators = [shrink(op) for op in plan.dynamic_operators]
-            if plan.static_hypergraph is not None:
-                plan.static_hypergraph = plan.static_hypergraph.subhypergraph(alive)
-            plan.reweighted_static = None
-            plan.static_operator = shrink(plan.static_operator)
-        else:
-            plan.operators = [shrink(op) for op in plan.operators]
+        plan.operators = [shrink(op) for op in plan.operators]
+        # DHGCN's static channel (DHGNN plans have none: these stay None).
+        plan.static_operator = shrink(plan.static_operator)
+        plan.reweighted_static = None
+        if plan.static_hypergraph is not None:
+            plan.static_hypergraph = plan.static_hypergraph.subhypergraph(alive)
         for slot in self._slots.values():
             slot.cluster_members = [
                 mapped[mapped >= 0]
@@ -600,12 +604,8 @@ class InferenceSession:
         on mutation, so an idle session stays untouched — includes a
         re-assignment pass; returns ``None``.  ``every_n=0`` clears the
         policy.  Raises :class:`~repro.errors.ConfigurationError` for a
-        generic module plan or a negative ``every_n``.
+        negative ``every_n``.
         """
-        if isinstance(self.plan, _ModulePlan):
-            raise ConfigurationError(
-                "cluster re-assignment needs a compiled DHGNN/DHGCN plan"
-            )
         if every_n is not None:
             if every_n < 0:
                 raise ConfigurationError(f"every_n must be >= 0, got {every_n}")
@@ -627,11 +627,9 @@ class InferenceSession:
         states, and a session loaded from that bundle answers
         bit-identically with zero k-NN distance computations.  Requires a
         compacted session (tombstones are session-internal laziness, not a
-        bundleable state) and a dedicated DHGNN/DHGCN plan — violating
-        either raises :class:`~repro.errors.ConfigurationError`.
+        bundleable state) — a session holding tombstones raises
+        :class:`~repro.errors.ConfigurationError`.
         """
-        if isinstance(self.plan, _ModulePlan):
-            raise ConfigurationError("freezing needs a compiled DHGNN/DHGCN plan")
         if self._deleted.any():
             raise ConfigurationError(
                 "compact() the session before to_frozen(): tombstoned rows "
@@ -650,8 +648,7 @@ class InferenceSession:
     # ------------------------------------------------------------------ #
     def _mark_stale(self) -> None:
         self._stale_outputs = True
-        if not isinstance(self.plan, _ModulePlan):
-            self._stale_topology = True
+        self._stale_topology = True
 
     def _ensure_fresh(self) -> None:
         if self._stale_topology:
@@ -679,8 +676,7 @@ class InferenceSession:
             self._reassign_moves = 0
             self._refreshes_since_reassign = 0
             self._reassign_pending = False
-        if isinstance(plan, _DHGCNPlan):
-            self._refresh_dhgcn_static(n)
+        self._refresh_dhgcn_static(n)
         hidden = self._features
         layer_inputs: list[np.ndarray] = []
         for position in range(plan.n_layers):
@@ -874,7 +870,11 @@ class InferenceSession:
         self._reassign_moves += moves
 
     def _refresh_dhgcn_static(self, n: int) -> None:
-        """Pad, tombstone-mask and (when enabled) reweight the static channel."""
+        """Pad, tombstone-mask and (when enabled) reweight DHGCN's static channel.
+
+        A no-op for plans without one (DHGNN's static hyperedges live in its
+        slots).
+        """
         plan = self.plan
         if plan.static_hypergraph is None:
             return

@@ -280,16 +280,18 @@ class Trainer:
     # Export
     # ------------------------------------------------------------------ #
     def export_frozen(self, path: str | None = None):
-        """Compile the (trained) model for serving; optionally save a bundle.
+        """Compile the trained DHGNN or DHGCN for serving; optionally save a bundle.
 
-        Returns a :class:`repro.serving.FrozenModel` whose logits are
-        bit-identical to this trainer's evaluation forward.  With ``path``
-        given, each topology slot's k-NN index is first primed against the
-        evaluation embeddings and the whole plan — weights, resolved
-        operators, topology slots, index states — is written as one ``.npz``
-        bundle, so a serving process starts warm (zero k-NN distance
-        computations before its first prediction) and keeps inserting nodes
-        incrementally.  See :mod:`repro.serving`.
+        Returns a :class:`repro.serving.FrozenModel` that serves copies of the
+        trained layers through the model's own per-layer step, so its logits
+        equal this trainer's evaluation forward.  With ``path`` given, each
+        topology slot's k-NN index is first primed against the evaluation
+        embeddings and the whole plan — weights, resolved operators,
+        topology slots, index states — is written as one ``.npz`` bundle, so
+        a serving process starts warm (zero k-NN distance computations before
+        its first prediction) and keeps inserting nodes incrementally.  Any
+        other model raises :class:`~repro.errors.ConfigurationError`.  See
+        :mod:`repro.serving`.
         """
         from repro.serving import FrozenModel
 

@@ -19,6 +19,8 @@ The load-bearing guarantees pinned here:
   mutations are no-ops and duplicate update ids are rejected.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -112,15 +114,28 @@ class TestFrozenBitIdentity:
         frozen = FrozenModel.compile(model, dataset.features)
         assert np.array_equal(frozen.logits(), reference)
 
-    def test_generic_module_plan(self, tiny_coauthorship_dataset):
+    def test_only_dynamic_models_can_be_frozen(self, tiny_coauthorship_dataset, tmp_path):
         dataset = tiny_coauthorship_dataset
         model = HGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
-        _train(model, dataset)
-        reference = _eval_logits(model, dataset, "float64")
+        trainer = _train(model, dataset, epochs=1)
+        with pytest.raises(ConfigurationError, match="DHGNN and DHGCN"):
+            FrozenModel.compile(model, dataset.features)
+        with pytest.raises(ConfigurationError, match="DHGNN and DHGCN"):
+            trainer.export_frozen(str(tmp_path / "bundle"))
+        assert not (tmp_path / "bundle.npz").exists()
+
+    def test_training_after_compile_leaves_the_frozen_model_alone(
+        self, tiny_citation_dataset
+    ):
+        # The plan serves its own copies of the trained layers.
+        dataset = tiny_citation_dataset
+        model = DHGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
+        trainer = _train(model, dataset, epochs=2)
         frozen = FrozenModel.compile(model, dataset.features)
-        assert np.array_equal(frozen.logits(), reference)
-        with pytest.raises(ConfigurationError):
-            frozen.embeddings()
+        before = frozen.logits()
+        trainer.train()
+        assert not np.array_equal(_eval_logits(model, dataset, "float64"), before)
+        assert np.array_equal(frozen.logits(), before)
 
     def test_labels_match_trainer_predict(self, tiny_citation_dataset):
         dataset = tiny_citation_dataset
@@ -137,6 +152,42 @@ class TestFrozenBitIdentity:
         model.setup(dataset)
         frozen = FrozenModel.compile(model, dataset.features)
         assert frozen.logits().shape == (dataset.n_nodes, dataset.n_classes)
+
+    def test_served_forward_flips_no_process_wide_switch(
+        self, tiny_citation_dataset, monkeypatch
+    ):
+        # no_grad() and precision() set process-wide flags, and a server runs
+        # its writer in an executor thread: the served forward must use
+        # neither, in either precision.
+        dataset = tiny_citation_dataset
+        served, expected = [], []
+        for precision_name in PRECISIONS:
+            for model in (
+                DHGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0),
+                DHGCN(dataset.n_features, dataset.n_classes, DHGCNConfig(hidden_dim=8), seed=0),
+            ):
+                trainer = _train(model, dataset, epochs=2, precision_name=precision_name)
+                frozen = trainer.export_frozen()
+                session = InferenceSession(frozen)
+                session.update_features([3], session.features[[3]] + 0.1)
+                served.append(frozen)
+                expected.append((frozen.logits(), session.predict(None, output="logits")))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the served forward entered a process-wide switch")
+
+        switches = (no_grad, precision)
+        for name, module in list(sys.modules.items()):
+            if name == "repro" or name.startswith("repro."):
+                for attribute, value in list(vars(module).items()):
+                    if any(value is switch for switch in switches):
+                        monkeypatch.setattr(module, attribute, forbidden)
+        for frozen, (logits, updated) in zip(served, expected):
+            session = InferenceSession(frozen)
+            session.update_features([3], session.features[[3]] + 0.1)
+            assert np.array_equal(frozen.logits(), logits)
+            assert np.array_equal(session.predict(None, output="logits"), updated)
+            assert updated.dtype == frozen.dtype
 
 
 # --------------------------------------------------------------------------- #
@@ -180,14 +231,6 @@ class TestBundleRoundTrip:
         assert labels.shape == (dataset.n_nodes,)
         assert logits.shape == (dataset.n_nodes, dataset.n_classes)
         assert embeddings.shape[0] == 3
-
-    def test_generic_plan_not_bundleable(self, tiny_coauthorship_dataset, tmp_path):
-        dataset = tiny_coauthorship_dataset
-        model = HGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
-        _train(model, dataset)
-        frozen = FrozenModel.compile(model, dataset.features)
-        with pytest.raises(ConfigurationError):
-            frozen.save(tmp_path / "nope")
 
 
 # --------------------------------------------------------------------------- #
@@ -774,6 +817,40 @@ class TestSessionBugfixes:
         assert session.predict(np.array([], dtype=np.float64)).size == 0
         session.predict([0, 1])
         session.predict(np.array([3], dtype=np.uint16))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, tiny_citation_dataset, tmp_path, value):
+        # One NaN or ±inf used to be accepted and then broke every later
+        # refresh (and, through a server, quarantined the writer for good).
+        # It is now refused before anything changes, naming its rows.
+        dataset = tiny_citation_dataset
+        bundle = self._bundle(dataset, tmp_path)
+        session = InferenceSession(FrozenModel.load(bundle))
+        reference = _cold_session(bundle)
+        before = session.predict(None, output="logits")
+        poisoned = dataset.features[[4, 9]].copy()
+        poisoned[1, 3] = value
+        with pytest.raises(ConfigurationError, match=r"non-finite .* rows \[9\]"):
+            session.update_features([4, 9], poisoned)
+        with pytest.raises(ConfigurationError, match=r"non-finite .* rows \[1\]"):
+            session.insert_nodes(poisoned)
+        assert session.n_nodes == dataset.n_nodes
+        assert np.array_equal(session.predict(None, output="logits"), before)
+        # The session is still healthy: the next valid write goes through.
+        for target in (session, reference):
+            target.update_features([4, 9], dataset.features[[4, 9]] + 0.1)
+            target.insert_nodes(dataset.features[[4, 9]] + 0.05)
+        assert np.array_equal(
+            session.predict(None, output="logits"), reference.predict(None, output="logits")
+        )
+
+    def test_float32_overflow_is_non_finite(self, tiny_citation_dataset, tmp_path):
+        dataset = tiny_citation_dataset
+        model = DHGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
+        trainer = _train(model, dataset, epochs=2, precision_name="float32")
+        session = InferenceSession(trainer.export_frozen())
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            session.update_features([0], np.full((1, dataset.n_features), 1e300))
 
     def test_predict_batch_isolates_bad_requests(self, tiny_citation_dataset, tmp_path):
         dataset = tiny_citation_dataset

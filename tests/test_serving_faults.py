@@ -777,6 +777,67 @@ class TestServerRestart:
         replayed = _serve(bundle_path, second, **config)
         assert replayed == reference  # bit-identical across the restart
 
+    def test_non_finite_writes_are_rejected_and_survive_a_restart(
+        self, bundle_path, tmp_path
+    ):
+        # json.loads accepts NaN / Infinity literals.  Such a write is a 400
+        # that leaves the writer healthy — and since it is journalled before
+        # it is rejected, a restart must skip it rather than re-poison the
+        # writer.
+        config = dict(
+            checkpoint_path=tmp_path / "ckpt.npz", wal_path=tmp_path / "mut.wal",
+            drain_timeout_s=0.5,
+        )
+        row = [0.1] * 40
+
+        async def first(server):
+            async with _Client(server.port) as client:
+                before = (await client.request(
+                    "POST", "/predict", {"nodes": None, "output": "logits"}
+                ))[1]["result"]
+                nan_update = await client.request(
+                    "POST", "/update", {"nodes": [4], "features": [row[:-1] + [float("nan")]]}
+                )
+                health = (await client.request("GET", "/healthz"))[1]
+                after = (await client.request(
+                    "POST", "/predict", {"nodes": None, "output": "logits"}
+                ))[1]["result"]
+                valid = await client.request(
+                    "POST", "/update", {"nodes": [4], "features": [row]}
+                )
+                inf_insert = await client.request(
+                    "POST", "/insert", {"features": [row, [float("-inf")] + row[1:]]}
+                )
+                wal_depth = (await client.request("GET", "/healthz"))[1]["wal_depth"]
+                final = (await client.request(
+                    "POST", "/predict", {"nodes": None, "output": "logits"}
+                ))[1]["result"]
+            return before, nan_update, health, after, valid, inf_insert, wal_depth, final
+
+        before, nan_update, health, after, valid, inf_insert, wal_depth, final = _serve(
+            bundle_path, first, **config
+        )
+        assert nan_update[0] == 400 and "non-finite" in nan_update[1]["error"]
+        assert health["status"] == "ok"
+        assert after == before
+        assert valid[0] == 200
+        assert inf_insert[0] == 400 and "rows [1]" in inf_insert[1]["error"]
+        assert wal_depth == 1  # the rejected insert, journalled after the checkpoint
+
+        async def second(server):
+            # The bad insert (seq 3) is replayed, rejected again and skipped.
+            assert server.recovered == 0 and server.pool.last_seq == 3
+            async with _Client(server.port) as client:
+                health = (await client.request("GET", "/healthz"))[1]
+                logits = (await client.request(
+                    "POST", "/predict", {"nodes": None, "output": "logits"}
+                ))[1]["result"]
+            return health, logits
+
+        health, logits = _serve(bundle_path, second, **config)
+        assert health["status"] == "ok"
+        assert logits == final
+
 
 # --------------------------------------------------------------------------- #
 # CLI: kill -9 a live server, restart it, verify nothing was lost

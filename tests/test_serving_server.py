@@ -37,7 +37,6 @@ import pytest
 
 from repro import (
     DHGNN,
-    HGNN,
     FrozenModel,
     InferenceSession,
     TrainConfig,
@@ -153,19 +152,6 @@ class TestGeneration:
         whole[...] = 0
         subset[...] = 0
         assert np.array_equal(generation.answer([2, 5], output=output), expected)
-
-    def test_module_plan_generation_has_no_embeddings(self, tiny_coauthorship_dataset):
-        dataset = tiny_coauthorship_dataset
-        model = HGNN(dataset.n_features, dataset.n_classes, hidden_dim=8, seed=0)
-        Trainer(model, dataset, TrainConfig(epochs=2, patience=None)).train()
-        session = InferenceSession(FrozenModel.compile(model, dataset.features))
-        generation = session.generation()
-        assert generation.embeddings is None
-        assert np.array_equal(
-            generation.answer(output="logits"), session.predict(output="logits")
-        )
-        with pytest.raises(ConfigurationError, match="embeddings"):
-            generation.answer([0], output="embeddings")
 
     def test_labels_are_computed_once_per_generation(self, bundle_path, monkeypatch):
         session = InferenceSession(FrozenModel.load(bundle_path))
